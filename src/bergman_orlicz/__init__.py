@@ -6,17 +6,17 @@ kernels and projections, atomic synthesis/sampling, and Carleson-type
 embedding checks, plus a CLI front end (`bergman-orlicz`).
 """
 
+import importlib
+
 __version__ = "0.1.0"
 
 from . import (  # noqa: F401
-    acceptance,
     atoms,
     bergman,
     carleson,
     errors,
     growth,
     halfplane,
-    kernels,
     lattice,
     orlicz,
 )
@@ -46,7 +46,7 @@ __all__ = [
     "__version__",
     # submodules
     "acceptance", "atoms", "bergman", "carleson", "errors", "growth",
-    "halfplane", "kernels", "lattice", "orlicz",
+    "halfplane", "lattice", "orlicz",
     # errors
     "BergmanOrliczError", "ParameterError", "DomainError", "DivergenceError",
     "AccuracyError", "OverflowBracketError", "ConditioningError",
@@ -57,3 +57,11 @@ __all__ = [
     "LatticeSequence", "atomic_measure", "density_measure", "luxembourg",
     "mobius_measure", "modular", "valpha_measure",
 ]
+
+
+def __getattr__(name):
+    # acceptance pulls in scipy.integrate and scipy.special, so it loads on
+    # first use rather than with the package
+    if name == "acceptance":
+        return importlib.import_module(f"{__name__}.acceptance")
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -23,17 +23,34 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import kernels
 from .errors import DivergenceError, ParameterError
 from .growth import inverse_vec as _phi_inverse_vec
 from .halfplane import HPoint, beta as _beta, integrate as _integrate
 from .orlicz import LatticeSequence, luxembourg, valpha_measure
+
+_ATOM_CHUNK = 512  # atoms per block in the atom-sum evaluation
 
 
 def _as_complex(z):
     if isinstance(z, HPoint):
         return z.z
     return z
+
+
+def _atom_sum_eval(z, centers, coeffs, expo):
+    """sum_k coeffs[k] * ((z - conj(centers[k])) / i)^(-expo), elementwise in z.
+
+    Chunked over the atom axis so the (points x atoms) temporaries stay
+    bounded; within a chunk the sum is numpy's pairwise reduction.
+    """
+    z = np.asarray(z, dtype=np.complex128)
+    out = np.zeros(z.shape, dtype=np.complex128)
+    for k0 in range(0, centers.size, _ATOM_CHUNK):
+        c = centers[k0:k0 + _ATOM_CHUNK]
+        a = coeffs[k0:k0 + _ATOM_CHUNK]
+        base = (z[..., None] - np.conj(c)) * (-1j)
+        out += np.sum(a * base ** (-expo), axis=-1)
+    return out
 
 
 def _check_alpha(alpha):
@@ -90,8 +107,7 @@ class AnalyticFn:
             return (1.0 - 1j * p["eps"] * z) ** (-p["m"])
         if self.kind == "atom_sum":
             flat = np.ascontiguousarray(np.atleast_1d(z).ravel())
-            out = kernels.atom_sum_eval(flat, p["centers"], p["coeffs"],
-                                        p["expo"])
+            out = _atom_sum_eval(flat, p["centers"], p["coeffs"], p["expo"])
             return out.reshape(z.shape) if z.shape else out[0]
         if self.kind == "const":
             return np.full(z.shape, p["value"]) if z.shape else p["value"]
@@ -226,11 +242,9 @@ def fn_from_json(obj):
     Accepts {"kernel": {"wx":, "wy":, "alpha":}}, the same with
     "normalized_kernel", {"g": {"eps":, "m":}}, {"const": v} with v a
     number or [re, im], and {"atoms": {"sequence": [[l, j, re, im], ...],
-    "delta":, "window": [L, J], "alpha":}} where delta defaults to 0.5,
-    the window to the smallest one containing the sequence, and alpha
-    to 0.
+    "delta":, "window": [L, J], "alpha":}} with the sequence keys of
+    `sequence_from_json` and alpha defaulting to 0.
     """
-    from . import lattice as _lattice
     if not isinstance(obj, dict) or len(obj) != 1:
         raise ParameterError(f"malformed analytic-fn spec: {obj!r}")
     if "kernel" in obj or "normalized_kernel" in obj:
@@ -249,22 +263,37 @@ def fn_from_json(obj):
         return const_fn(d)
     if "atoms" in obj:
         d = obj["atoms"]
-        rows = d["sequence"]
-        if not rows:
-            raise ParameterError("atom sequence must be nonempty")
-        entries = {}
-        for l, j, re, im in rows:
-            entries[(int(l), int(j))] = complex(re, im)
-        if "window" in d:
-            window = (int(d["window"][0]), int(d["window"][1]))
-        else:
-            window = (max(abs(k[0]) for k in entries),
-                      max(abs(k[1]) for k in entries))
-        lat = _lattice.build(float(d.get("delta", 0.5)), window,
-                             d.get("gamma"))
-        return atom_sum(LatticeSequence(entries, lat),
-                        float(d.get("alpha", 0.0)))
+        return atom_sum(sequence_from_json(d), float(d.get("alpha", 0.0)))
     raise ParameterError(f"unknown analytic-fn variant {list(obj)[0]!r}")
+
+
+def sequence_from_json(obj):
+    """Parse {"sequence": [[l, j, re, im], ...], "delta":, "window": [L, J],
+    "gamma":} into a LatticeSequence.
+
+    delta defaults to 0.5, the window to the smallest one containing the
+    sequence, and gamma to the midpoint of its admissible interval.
+    """
+    from . import lattice as _lattice
+    if not isinstance(obj, dict) or "sequence" not in obj:
+        raise ParameterError(f"sequence spec needs a 'sequence' key: {obj!r}")
+    rows = obj["sequence"]
+    if not rows:
+        raise ParameterError("atom sequence must be nonempty")
+    entries = {}
+    for row in rows:
+        if len(row) != 4:
+            raise ParameterError(f"sequence rows are [l, j, re, im]: {row!r}")
+        l, j, re, im = row
+        entries[(int(l), int(j))] = complex(re, im)
+    if "window" in obj:
+        window = (int(obj["window"][0]), int(obj["window"][1]))
+    else:
+        window = (max(abs(k[0]) for k in entries),
+                  max(abs(k[1]) for k in entries))
+    lat = _lattice.build(float(obj.get("delta", 0.5)), window,
+                         obj.get("gamma"))
+    return LatticeSequence(entries, lat)
 
 
 def fn_to_json(F):

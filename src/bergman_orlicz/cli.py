@@ -107,27 +107,6 @@ def _lattice_from_json(obj):
                              obj.get("gamma"))
 
 
-def _sequence_from_json(obj):
-    """A lattice sequence from {"sequence": [[l,j,re,im],...], "delta":,
-    "window": [L,J], "gamma": optional}."""
-    if not isinstance(obj, dict) or "sequence" not in obj:
-        raise ParameterError(f"sequence spec needs a 'sequence' key: {obj!r}")
-    rows = obj["sequence"]
-    if not rows:
-        raise ParameterError("sequence must be nonempty")
-    entries = {}
-    for row in rows:
-        if len(row) != 4:
-            raise ParameterError(f"sequence rows are [l, j, re, im]: {row!r}")
-        entries[(int(row[0]), int(row[1]))] = complex(row[2], row[3])
-    spec = dict(obj)
-    if "window" not in spec:
-        spec["window"] = [max(abs(k[0]) for k in entries),
-                          max(abs(k[1]) for k in entries)]
-    lat = _lattice_from_json(spec)
-    return orlicz.LatticeSequence(entries, lat)
-
-
 def _json_safe(x):
     """Plain JSON types only; non-finite floats become strings."""
     if isinstance(x, dict):
@@ -237,7 +216,7 @@ def _cmd_luxnorm(args):
 
 
 def _cmd_synthesize(args):
-    seq = _sequence_from_json(_load_doc(args.seq))
+    seq = bergman.sequence_from_json(_load_doc(args.seq))
     params = atoms.SynthesisParams(args.alpha, seq.lattice)
     F = atoms.synthesize(seq, params)
     z = _parse_point(args.at)

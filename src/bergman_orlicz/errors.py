@@ -10,9 +10,6 @@ class BergmanOrliczError(Exception):
 
     kind = "internal"
 
-    def payload(self):
-        return {"kind": self.kind, "detail": str(self)}
-
 
 class ParameterError(BergmanOrliczError):
     """A parameter violates a documented precondition."""

@@ -21,7 +21,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import kernels
 from .errors import ParameterError
 from .halfplane import Box, CarlesonSquare, Disk, HPoint, StripUnion
 
@@ -30,6 +29,8 @@ from .halfplane import Box, CarlesonSquare, Disk, HPoint, StripUnion
 SAMPLING_DELTA_LIMIT = 1.0 / (1.0 + 7.0 * math.sqrt(2.0))
 
 _UNCOVERED_WITNESS_CAP = 20
+
+_CHUNK = 512  # disks per block in the pairwise geometry scans
 
 
 def gamma_interval(delta):
@@ -265,6 +266,30 @@ def _sample_zone(lat, region, n, rng):
     return px, py
 
 
+def _min_separation(xs, ys, radii):
+    """Minimum over pairs of (center distance - radius sum); > 0 iff disjoint."""
+    n = xs.size
+    best = np.inf
+    for i0 in range(0, n, _CHUNK):
+        dx = xs[i0:i0 + _CHUNK, None] - xs[None, :]
+        dy = ys[i0:i0 + _CHUNK, None] - ys[None, :]
+        gap = np.hypot(dx, dy) - (radii[i0:i0 + _CHUNK, None] + radii[None, :])
+        block = gap + np.tril(np.full(gap.shape, np.inf), k=i0)
+        best = min(best, float(block.min()))
+    return best
+
+
+def _cover_counts(px, py, cx, cy, radii):
+    """For each point, the number of disks containing it (strict inequality)."""
+    out = np.zeros(px.size, dtype=np.int64)
+    for k0 in range(0, cx.size, _CHUNK):
+        dx = px[:, None] - cx[None, k0:k0 + _CHUNK]
+        dy = py[:, None] - cy[None, k0:k0 + _CHUNK]
+        rr = radii[None, k0:k0 + _CHUNK]
+        out += np.sum(dx * dx + dy * dy < rr * rr, axis=1)
+    return out
+
+
 def covering_report(lat, region=None, n_samples=10000, seed=0):
     """Test the three geometric lattice properties on a sampled region.
 
@@ -291,7 +316,7 @@ def covering_report(lat, region=None, n_samples=10000, seed=0):
     _, _, xs, ys = lat.index_arrays()
 
     small = lat.s_delta * ys
-    disjoint_gap = kernels.min_separation(xs, ys, small)
+    disjoint_gap = _min_separation(xs, ys, small)
     disjoint_ok = bool(disjoint_gap > 0.0)
     violations = []
     if not disjoint_ok:
@@ -300,7 +325,7 @@ def covering_report(lat, region=None, n_samples=10000, seed=0):
     px, py = _sample_zone(lat, region, n_samples, np.random.default_rng(seed))
 
     big = lat.delta * ys
-    counts = kernels.cover_counts(px, py, xs, ys, big)
+    counts = _cover_counts(px, py, xs, ys, big)
     covered = counts > 0
     for i in np.flatnonzero(~covered)[:_UNCOVERED_WITNESS_CAP]:
         violations.append(("uncovered", float(px[i]), float(py[i])))

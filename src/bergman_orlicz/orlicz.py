@@ -385,7 +385,7 @@ def luxembourg(f, mu, phi, tol=1e-8):
         p, coef = pc
         from .growth import power as _power
         try:
-            s = _ModularEngine(f, mu, tol).modular_at(_power(p), 1.0)
+            s = engine.modular_at(_power(p), 1.0)
         except DivergenceError as e:
             raise NotInSpaceError(f"p-th power integral diverges ({e})") from e
         if s == 0.0:

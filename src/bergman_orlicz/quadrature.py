@@ -92,38 +92,6 @@ def integrate_1d(f, a, b, tol=1e-10, max_panels=MAX_PANELS_1D):
     return total, total_err
 
 
-def integrate_1d_geometric(f, y_top, tol=1e-10, ratio=STRIP_RATIO, max_strips=1200):
-    """Integral of f over (0, y_top] via geometric strips [y_top r^-k-1, y_top r^-k].
-
-    Handles endpoint singularities integrable of power type (y^a, a > -1).
-    Divergence is flagged when strip magnitudes stop decaying.
-    """
-    total, err = 0.0, 0.0
-    mags, flat_run = [], 0
-    hi = y_top
-    for _ in range(max_strips):
-        lo = hi / ratio
-        v, e = integrate_1d(f, lo, hi, tol=tol * 0.5)
-        total += v
-        err += e
-        mag = abs(v)
-        if mags:
-            prev = mags[-1]
-            if prev > 0 and mag >= SHELL_DECAY_LIMIT * prev:
-                flat_run += 1
-                if flat_run >= SHELL_DECAY_RUN and len(mags) > 12:
-                    raise DivergenceError(
-                        f"integrand mass does not decay toward 0 (strip {len(mags)})"
-                    )
-            else:
-                flat_run = 0
-        mags.append(mag)
-        if mag <= tol * max(abs(total), ABS_FLOOR) / 8.0:
-            return total, err
-        hi = lo
-    raise AccuracyError(f"geometric strips exhausted ({max_strips}) without tail decay")
-
-
 def integrate_1d_line(f, tol=1e-10, x_init=1.0, max_shells=400):
     """Integral of f over the whole real line via doubling shells.
 
@@ -158,8 +126,8 @@ class Field2D:
     """Vectorized scalar field f(x, y) with per-panel node-value caching.
 
     The cache is keyed on the exact panel rectangle and order, so repeated
-    integrations over the same panel geometry (e.g. Luxembourg bisection
-    re-evaluations through `transform`) never re-evaluate the base field.
+    integrations over the same panel geometry (e.g. the modular passes of
+    one Luxembourg solve) never re-evaluate the base field.
     """
 
     def __init__(self, fn, cache=True):
@@ -179,20 +147,6 @@ class Field2D:
         if self._cache is not None:
             self._cache[key] = vals
         return vals
-
-    def transform(self, g):
-        """Field applying g elementwise to this field's cached values."""
-        outer = self
-
-        class _Transformed(Field2D):
-            def __init__(self):
-                self.fn = None
-                self._cache = None
-
-            def values(self, rect, order):
-                return g(outer.values(rect, order))
-
-        return _Transformed()
 
 
 def _panel_2d(field, rect):

@@ -11,10 +11,12 @@ import subprocess
 import sys
 
 import numpy as np
+import pytest
 
-from bergman_orlicz import lattice
+from bergman_orlicz import bergman, lattice
 from bergman_orlicz.cli import (EXIT_ACCURACY, EXIT_OK, EXIT_VALIDATION,
                                 main)
+from bergman_orlicz.errors import ParameterError
 
 UNIT_SQUARE_V0 = ('{"density":{"kind":"valpha","alpha":0,'
                   '"support":{"box":[0,1,0,1]}}}')
@@ -210,6 +212,18 @@ def test_invalid_delta_exits_2(capsys):
     assert _error_doc(out)["kind"] == "ParameterError"
 
 
+def test_short_sequence_row_is_a_parameter_error(capsys):
+    # --seq and the "atoms" analytic-fn variant share one row parser
+    rows = {"sequence": [[0, 0, 1.0, 0.0], [1, 0, 0.5]],
+            "delta": 0.5, "window": [2, 1]}
+    with pytest.raises(ParameterError):
+        bergman.fn_from_json({"atoms": rows})
+    code, out = _run(capsys, ["synthesize", "--seq", json.dumps(rows),
+                              "--at", "0,1"])
+    assert code == EXIT_VALIDATION
+    assert _error_doc(out)["kind"] == "ParameterError"
+
+
 def test_divergent_norm_exits_3(capsys):
     code, out = _run(capsys, [
         "luxnorm", "--phi", '{"family":"power","p":1}',
@@ -251,3 +265,16 @@ def test_module_entry_point():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert "midpoint" in json.loads(proc.stdout)
+
+
+def test_package_import_leaves_scipy_unloaded():
+    # acceptance (and with it scipy.integrate) loads on first attribute use
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, bergman_orlicz as bo\n"
+         "assert 'scipy' not in sys.modules, 'scipy loaded'\n"
+         "assert 'acceptance' in bo.__all__\n"
+         "assert bo.acceptance.run\n"
+         "assert 'scipy' in sys.modules"],
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr

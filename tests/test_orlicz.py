@@ -53,6 +53,23 @@ def test_lux_power_fast_path():
     assert r.iterations == 0
 
 
+def test_lux_power_route_evaluates_each_panel_once():
+    # the p-th-power pass and the modular check at the value share one
+    # engine, so no quadrature panel feeds f the same nodes twice
+    for support in (Box(0.0, 1.0, 0.5, 1.5), CarlesonSquare(0.0, 1.0)):
+        seen, calls = set(), [0]
+
+        def f(z):
+            calls[0] += 1
+            seen.add(np.asarray(z).tobytes())
+            return DECAY3(z)
+
+        r = O.luxembourg(f, O.valpha_measure(0.0, support), G.power(3))
+        assert r.iterations == 0
+        assert calls[0] > 1
+        assert len(seen) == calls[0]
+
+
 def test_lux_weighted_square():
     # |I| = 2 and alpha = 1 give measure 4, so the norm of 1 is 2
     mu = O.valpha_measure(1.0, CarlesonSquare(0.0, 2.0))
