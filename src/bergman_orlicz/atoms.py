@@ -32,14 +32,12 @@ KHINTCHINE_MARGIN = 0.10
 class SynthesisParams:
     """Parameters of the synthesis operator.
 
-    The coefficient scale is pinned to 2**(alpha+2); `tail_tol` is kept
-    for callers that document truncation of infinite sequences, but the
-    operating regime here is finite support, where evaluation is exact.
+    The coefficient scale is pinned to 2**(alpha+2).  Sequences have
+    finite support, so synthesis is an exact finite sum.
     """
 
     alpha: float
     lattice: object
-    tail_tol: float = 0.0
     c_alpha: float = None
 
     def __post_init__(self):
@@ -115,9 +113,7 @@ def _residual_sq(F, recon, alpha):
                               np.asarray(recon.params["centers"])])
         v = np.concatenate([np.asarray(F.params["coeffs"]),
                             -np.asarray(recon.params["coeffs"])])
-        kmat = bergman.kernel(cen[None, :], cen[:, None], alpha)
-        quad_form = np.vdot(v, kmat.T @ v)
-        return float(np.real(quad_form)) / bergman.reproducing_constant(alpha)
+        return bergman.atom_norm_sq(cen, v, alpha)
     diff = lambda z: np.abs(np.asarray(F(z), dtype=complex) - recon(z))
     return modular(diff, valpha_measure(alpha), growth.power(2),
                    tol=RESIDUAL_TOL)
@@ -187,9 +183,6 @@ def equivalence_experiment(phi, alpha, delta, trials, seed,
     l_max, j_max = lat.window
     is_l2 = phi.family == "power" and phi.params["p"] == 2.0 \
         and phi.params["coef"] == 1.0
-    if is_l2:
-        keys, g = atom_gram(lat, alpha)
-        index_of = {k: i for i, k in enumerate(keys)}
 
     ratios_synth, ratios_sample, rows = [], [], []
     for t in range(trials):
@@ -203,10 +196,8 @@ def equivalence_experiment(phi, alpha, delta, trials, seed,
         norm_mu = seq_luxembourg(mu, phi, alpha).value
         f_mu = synthesize(mu, params)
         if is_l2:
-            vec = np.zeros(len(keys), dtype=complex)
-            for k, v in entries.items():
-                vec[index_of[k]] = v
-            norm_f = float(np.sqrt(max(np.real(np.vdot(vec, g @ vec)), 0.0)))
+            norm_f = float(np.sqrt(max(bergman.atom_norm_sq(
+                f_mu.params["centers"], f_mu.params["coeffs"], alpha), 0.0)))
         else:
             norm_f = luxembourg(f_mu, valpha_measure(alpha), phi).value
         norm_back = seq_luxembourg(sample(f_mu, lat), phi, alpha).value

@@ -82,6 +82,17 @@ def reproducing_constant(alpha=0.0):
     return (alpha + 1.0) * 2.0 ** alpha / math.pi
 
 
+def atom_norm_sq(centers, coeffs, alpha=0.0):
+    """Squared weighted-L2 norm of sum_k coeffs[k] * K(., centers[k]).
+
+    Exact through the reproducing identity: Re(c^H K c) over the
+    reproducing constant, with K[i, k] = K(centers[i], centers[k]).
+    """
+    kmat = kernel(centers[None, :], centers[:, None], alpha)
+    q = np.vdot(coeffs, kmat.T @ coeffs)
+    return float(np.real(q)) / reproducing_constant(alpha)
+
+
 ATOM_COEF_BASE = 2.0  # atom coefficient scale is 2**(alpha+2)
 
 

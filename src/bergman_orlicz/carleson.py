@@ -366,12 +366,9 @@ def _space_norm(F, phi1, alpha, tol=1e-6):
             return mod ** (1.0 / p)
         if kind == "atom_sum" and p == 2.0 and \
                 float(F.params["expo"]) == alpha + 2.0:
-            cen = np.asarray(F.params["centers"])
-            v = np.asarray(F.params["coeffs"])
-            kmat = bergman.kernel(cen[None, :], cen[:, None], alpha)
-            q = np.real(np.vdot(v, kmat.T @ v))
-            return float(np.sqrt(max(q, 0.0)
-                                 / bergman.reproducing_constant(alpha)))
+            q = bergman.atom_norm_sq(F.params["centers"], F.params["coeffs"],
+                                     alpha)
+            return float(np.sqrt(max(q, 0.0)))
     return luxembourg(F, valpha_measure(alpha), phi1, tol=tol).value
 
 

@@ -185,30 +185,35 @@ def integrate(f, alpha, region=None, tol=1e-8):
     """
     if not (alpha > -1):
         raise ParameterError(f"weight exponent must exceed -1, got alpha={alpha}")
-    field = _weighted_field(f, alpha)
-    if region is None:
-        value, _, _ = integrate_halfplane(field, tol=tol)
-        return value
-    if isinstance(region, Box):
-        if region.y_min == 0:
-            value, _, _ = integrate_box_graded(
-                field, region.x_min, region.x_max, region.y_max, tol=tol
-            )
-        else:
-            value, _, _ = integrate_box(
-                field, (region.x_min, region.x_max, region.y_min, region.y_max), tol=tol
-            )
-        return value
-    if isinstance(region, CarlesonSquare):
-        value, _, _ = integrate_box_graded(
-            field, region.x_min, region.x_max, region.interval_length, tol=tol
-        )
-        return value
     if isinstance(region, Disk):
         return integrate_disk(f, alpha, region, tol=tol)
-    if isinstance(region, StripUnion):
-        return sum(integrate(f, alpha, box, tol=tol) for box in region.boxes)
-    raise ParameterError(f"unknown region {region!r}")
+    return _integrate_region(_weighted_field(f, alpha), region, tol)
+
+
+def _integrate_region(field, region, tol):
+    """Integral of a Field2D over any region but a Disk, whose polar field
+    each caller builds itself.
+
+    Boxes on the boundary and Carleson squares grade toward y = 0; a strip
+    union sums the same field over its boxes.
+    """
+    if region is None:
+        value, _, _ = integrate_halfplane(field, tol=tol)
+    elif isinstance(region, StripUnion):
+        value = sum(_integrate_region(field, box, tol) for box in region.boxes)
+    elif isinstance(region, CarlesonSquare):
+        value, _, _ = integrate_box_graded(
+            field, region.x_min, region.x_max, region.interval_length, tol=tol)
+    elif isinstance(region, Box) and region.y_min == 0:
+        value, _, _ = integrate_box_graded(
+            field, region.x_min, region.x_max, region.y_max, tol=tol)
+    elif isinstance(region, Box):
+        value, _, _ = integrate_box(
+            field, (region.x_min, region.x_max, region.y_min, region.y_max),
+            tol=tol)
+    else:
+        raise ParameterError(f"unknown region {region!r}")
+    return value
 
 
 def disk_measure(disk, alpha, tol=1e-12):

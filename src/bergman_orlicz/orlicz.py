@@ -10,7 +10,9 @@ functions take the closed p-norm route instead.
 
 Sequence-space analogues live on lattice index sets with row weights
 2**(j*gamma*(alpha+2)); the Hardy variant takes per-horizontal-line
-norms and their supremum.
+norms and their supremum.  Sequences and lines are measures too (row
+weights on lattice points, Lebesgue measure on a line), so all three
+norms share one solve and any growth function works on each.
 """
 
 from dataclasses import dataclass, field
@@ -20,8 +22,8 @@ import numpy as np
 from . import quadrature as Q
 from .errors import (AccuracyError, BergmanOrliczError, DivergenceError,
                      NotInSpaceError, ParameterError)
-from .growth import inverse as _phi_inverse
-from .halfplane import Box, CarlesonSquare, Disk, HPoint, StripUnion
+from .growth import inverse as _phi_inverse, power as _power
+from .halfplane import Box, CarlesonSquare, Disk, HPoint, _integrate_region
 
 VANISH_LAMBDA = 1e-300
 MODULAR_TARGET_TOL = 1e-8
@@ -208,66 +210,50 @@ class _ModularEngine:
             self.wt = Q.Field2D(wt_c)
 
     def modular_at(self, phi, lam):
-        mu = self.mu
-        if mu.kind == "atomic":
-            with np.errstate(over="ignore", invalid="ignore"):
-                vals = phi(self.fvals / lam)
-            return float(np.sum(self.masses * np.minimum(vals, VALUE_CLIP)))
+        if self.mu.kind == "atomic":
+            return _discrete_modular(self.fvals, self.masses, phi, lam)
         combo = _ComboField(self.absf, self.wt, phi, lam)
-        support = mu.support
-        if support is None:
-            v, _, _ = Q.integrate_halfplane(combo, self.tol)
-        elif isinstance(support, Disk):
-            r = support.radius
-            v, _, _ = Q.integrate_box(combo, (-np.pi, np.pi, 0.0, r), self.tol)
-        elif isinstance(support, CarlesonSquare):
-            v, _, _ = Q.integrate_box_graded(
-                combo, support.x_min, support.x_max,
-                support.interval_length, self.tol)
-        elif isinstance(support, Box):
-            if support.y_min == 0.0:
-                v, _, _ = Q.integrate_box_graded(
-                    combo, support.x_min, support.x_max,
-                    support.y_max, self.tol)
-            else:
-                rect = (support.x_min, support.x_max,
-                        support.y_min, support.y_max)
-                v, _, _ = Q.integrate_box(combo, rect, self.tol)
-        elif isinstance(support, StripUnion):
-            v = 0.0
-            for b in support.boxes:
-                sub = MeasureSpec(kind=mu.kind, weight=mu.weight, support=b,
-                                  alpha_base=mu.alpha_base, mobius=mu.mobius,
-                                  beta=mu.beta)
-                hold, self.mu = self.mu, sub
-                try:
-                    v += self.modular_at(phi, lam)
-                finally:
-                    self.mu = hold
+        support = self.mu.support
+        if isinstance(support, Disk):
+            v, _, _ = Q.integrate_box(
+                combo, (-np.pi, np.pi, 0.0, support.radius), self.tol)
         else:
-            raise ParameterError(
-                f"unsupported support type {type(support).__name__}")
+            v = _integrate_region(combo, support, self.tol)
         return float(v)
 
-    def mass_scale(self):
-        """Rough total-mass estimate used to seed the bracket search."""
+    def start(self, phi):
+        """Bisection seed typ / Phi^-1(1/mass) from a rough total mass and
+        a typical value of |f|; 1.0 when either estimate fails."""
         mu = self.mu
         if mu.kind == "atomic":
-            return float(np.sum(self.masses))
-        s = mu.support
-        a = mu.alpha_base if mu.kind == "density" else 0.0
-        if isinstance(s, (Box, CarlesonSquare)):
-            if isinstance(s, CarlesonSquare):
-                x0, x1, y0, y1 = s.x_min, s.x_max, 0.0, s.interval_length
-            else:
-                x0, x1, y0, y1 = s.x_min, s.x_max, s.y_min, s.y_max
-            return (x1 - x0) * (y1 ** (a + 1) - y0 ** (a + 1)) / (a + 1)
+            mass = float(np.sum(self.masses))
+            typ = float(np.max(self.fvals, initial=0.0))
+        else:
+            s, mass = mu.support, 1.0
+            a = mu.alpha_base if mu.kind == "density" else 0.0
+            if isinstance(s, (Box, CarlesonSquare)):
+                y0, y1 = (0.0, s.interval_length) \
+                    if isinstance(s, CarlesonSquare) else (s.y_min, s.y_max)
+                mass = (s.x_max - s.x_min) \
+                    * (y1 ** (a + 1) - y0 ** (a + 1)) / (a + 1)
+            typ = float(self.absf.values((-0.5, 0.5, 0.5, 1.5),
+                                         Q.ORDER_LOW).max())
+        if mass > 0 and typ > 0:
+            try:
+                y = _phi_inverse(phi, 1.0 / mass)
+                if np.isfinite(y) and y > 0:
+                    return typ / y
+            except (BergmanOrliczError, OverflowError, ZeroDivisionError):
+                pass
         return 1.0
 
-    def typical_value(self):
-        if self.mu.kind == "atomic":
-            return float(np.max(self.fvals, initial=0.0))
-        return float(self.absf.values((-0.5, 0.5, 0.5, 1.5), Q.ORDER_LOW).max())
+
+def _discrete_modular(mags, weights, phi, lam):
+    """sum(weights * min(Phi(mags / lam), VALUE_CLIP)): the modular of an
+    atomic measure or a weighted lattice sequence."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        vals = phi(mags / lam)
+    return float(np.sum(weights * np.minimum(vals, VALUE_CLIP)))
 
 
 def modular(f, mu, phi, tol=1e-8):
@@ -295,22 +281,18 @@ def modular(f, mu, phi, tol=1e-8):
             f"modular diverges under automatic truncation ({e})") from e
 
 
-def _power_params(phi):
-    if phi.family == "power":
-        return phi.params["p"], phi.params["coef"]
-    return None
+def _lux_bisect(modular_fn, lam0):
+    """Locate inf{lam : modular_fn(lam) <= 1} for decreasing modular_fn.
 
-
-def _lux_bisect(modular_fn, lam0, *, divergence_means_large=True):
-    """Locate inf{lam : modular_fn(lam) <= 1} for decreasing modular_fn."""
+    A probe whose integral diverges counts as an infinite modular, i.e. a
+    scale that is too small.
+    """
 
     def mod(lam):
         try:
             return modular_fn(lam)
         except DivergenceError:
-            if divergence_means_large:
-                return np.inf
-            raise
+            return np.inf
 
     iters = 0
     # vanishing input: even an absurdly small scale keeps the modular small
@@ -367,6 +349,28 @@ def _lux_bisect(modular_fn, lam0, *, divergence_means_large=True):
     return LuxResult(value, m_val, iters, (lo, hi))
 
 
+def _solve(modular_at, phi, start):
+    """Luxembourg norm from lam -> modular_at(phi, lam), the modular of f/lam.
+
+    Power growth functions use the exact p-norm identity: one pass at
+    growth t**p, whose divergence means f is not in the space, plus one
+    at the value for the reported modular.  Everything else is bisection
+    from the scale that the thunk `start` returns.
+    """
+    if phi.family != "power":
+        return _lux_bisect(lambda lam: modular_at(phi, lam), start())
+    p, coef = phi.params["p"], phi.params["coef"]
+    try:
+        s = modular_at(_power(p), 1.0)
+    except DivergenceError as e:
+        raise NotInSpaceError(f"p-th power integral diverges ({e})") from e
+    if s == 0.0:
+        return LuxResult(0.0, 0.0, 0, (0.0, 0.0))
+    value = (coef * s) ** (1.0 / p)
+    return LuxResult(float(value), float(modular_at(phi, value)), 0,
+                     (value, value))
+
+
 def luxembourg(f, mu, phi, tol=1e-8):
     """Luxembourg norm of f in the Orlicz space of the measure.
 
@@ -380,45 +384,22 @@ def luxembourg(f, mu, phi, tol=1e-8):
     LuxResult
     """
     engine = _ModularEngine(f, mu, tol)
-    pc = _power_params(phi)
-    if pc is not None:
-        p, coef = pc
-        from .growth import power as _power
-        try:
-            s = engine.modular_at(_power(p), 1.0)
-        except DivergenceError as e:
-            raise NotInSpaceError(f"p-th power integral diverges ({e})") from e
-        if s == 0.0:
-            return LuxResult(0.0, 0.0, 0, (0.0, 0.0))
-        value = (coef * s) ** (1.0 / p)
-        m_val = engine.modular_at(phi, value)
-        return LuxResult(float(value), float(m_val), 0, (value, value))
+    return _solve(engine.modular_at, phi, lambda: engine.start(phi))
 
-    lam0 = 1.0
-    mass = engine.mass_scale()
-    typ = engine.typical_value()
-    if mass > 0 and typ > 0:
-        try:
-            y = _phi_inverse(phi, 1.0 / mass)
-            if np.isfinite(y) and y > 0:
-                lam0 = typ / y
-        except (BergmanOrliczError, OverflowError, ZeroDivisionError):
-            pass
-    return _lux_bisect(lambda lam: engine.modular_at(phi, lam), lam0)
+
+def _seq_arrays(seq, alpha):
+    """Magnitudes and row weights 2**(j*gamma*(alpha+2)) in (j, l) order."""
+    items = seq.items_sorted()
+    mags = np.array([abs(v) for _, v in items])
+    js = np.array([k[1] for k, _ in items], dtype=float)
+    return mags, 2.0 ** (js * seq.lattice.gamma * (alpha + 2.0))
 
 
 def seq_modular(seq, phi, alpha, lam=1.0):
     """Row-weighted modular of a lattice sequence."""
     if not seq.entries:
         return 0.0
-    gamma = seq.lattice.gamma
-    items = seq.items_sorted()
-    mags = np.array([abs(v) for _, v in items])
-    js = np.array([k[1] for k, _ in items], dtype=float)
-    weights = 2.0 ** (js * gamma * (alpha + 2.0))
-    with np.errstate(over="ignore", invalid="ignore"):
-        vals = phi(mags / lam)
-    return float(np.sum(weights * np.minimum(vals, VALUE_CLIP)))
+    return _discrete_modular(*_seq_arrays(seq, alpha), phi, lam)
 
 
 def seq_luxembourg(seq, phi, alpha):
@@ -430,43 +411,19 @@ def seq_luxembourg(seq, phi, alpha):
     """
     if not seq.entries:
         return LuxResult(0.0, 0.0, 0, (0.0, 0.0))
-    pc = _power_params(phi)
-    if pc is not None:
-        p, coef = pc
-        from .growth import power as _power
-        s = seq_modular(seq, _power(p), alpha)
-        if s == 0.0:
-            return LuxResult(0.0, 0.0, 0, (0.0, 0.0))
-        value = (coef * s) ** (1.0 / p)
-        return LuxResult(float(value), seq_modular(seq, phi, alpha, value),
-                         0, (value, value))
-    mags = [abs(v) for _, v in seq.items_sorted()]
-    lam0 = max(mags) if mags else 1.0
-    return _lux_bisect(lambda lam: seq_modular(seq, phi, alpha, lam),
-                       max(lam0, 1e-30))
-
-
-def _line_modular(F, phi, y, lam, tol):
-    v, _ = Q.integrate_1d_line(
-        lambda x: np.minimum(phi(np.abs(F(x + 1j * y)) / lam), VALUE_CLIP),
-        tol=tol)
-    return float(v)
-
-
-def _line_lux(F, phi, y, tol):
-    pc = _power_params(phi)
-    if pc is not None:
-        p, coef = pc
-        s, _ = Q.integrate_1d_line(lambda x: np.abs(F(x + 1j * y)) ** p,
-                                   tol=tol)
-        return float((coef * s) ** (1.0 / p))
-    res = _lux_bisect(lambda lam: _line_modular(F, phi, y, lam, tol), 1.0,
-                      divergence_means_large=False)
-    return res.value
+    mags, weights = _seq_arrays(seq, alpha)
+    return _solve(
+        lambda psi, lam: _discrete_modular(mags, weights, psi, lam), phi,
+        lambda: max(float(np.max(mags)), 1e-30))
 
 
 def hardy_norm(F, phi, y_grid=None, tol=1e-8):
     """Sup over horizontal lines of the 1-D Luxembourg norms of F.
+
+    Each line norm goes through the same solve as `luxembourg`, with
+    Lebesgue measure on the line, so any growth function works: power
+    growth takes the p-norm identity (and one more line integral for the
+    modular at the value), anything else bisects from scale 1.
 
     Parameters
     ----------
@@ -487,10 +444,17 @@ def hardy_norm(F, phi, y_grid=None, tol=1e-8):
     ys = sorted(float(y) for y in y_grid)
     if not ys or ys[0] <= 0:
         raise ParameterError("y_grid must contain positive heights")
+
     per_line = []
     for y in ys:
+        def line_modular(psi, lam):
+            v, _ = Q.integrate_1d_line(
+                lambda x: np.minimum(psi(np.abs(F(x + 1j * y)) / lam),
+                                     VALUE_CLIP), tol=tol)
+            return float(v)
+
         try:
-            per_line.append((y, _line_lux(F, phi, y, tol)))
+            per_line.append((y, _solve(line_modular, phi, lambda: 1.0).value))
         except (DivergenceError, NotInSpaceError) as e:
             raise NotInSpaceError(
                 f"line norm at y={y:.6g} diverges ({e})") from e

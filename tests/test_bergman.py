@@ -113,6 +113,17 @@ def test_gram_entry_frozen():
     assert abs(closed - GRAM_I_05_2I) / abs(GRAM_I_05_2I) < 1e-12
 
 
+def test_atom_norm_sq_against_frozen_gram():
+    # |a|^2 |K_i|^2 + |b|^2 |K_w|^2 + 2 Re(a conj(b) <K_i, K_w>) with the
+    # diagonal norms pi/4, pi/16 and the frozen mpmath cross term
+    w2 = 0.5 + 2j
+    a, b = 1.5 - 0.5j, -0.25 + 2j
+    ref = abs(a) ** 2 * np.pi / 4 + abs(b) ** 2 * np.pi / 16 \
+        + 2 * (a * np.conj(b) * GRAM_I_05_2I).real
+    v = B.atom_norm_sq(np.array([1j, w2]), np.array([a, b]), 0.0)
+    assert abs(v - ref) / ref < 1e-12
+
+
 def test_project_reproduces_atom_sum():
     lat = L.build(0.5, (2, 2))
     F = B.atom_sum(O.LatticeSequence({(0, 0): 1.0, (1, 1): 0.5j}, lat), 0.0)

@@ -11,7 +11,7 @@ from bergman_orlicz import growth as G
 from bergman_orlicz import lattice as L
 from bergman_orlicz import orlicz as O
 from bergman_orlicz.errors import NotInSpaceError, ParameterError
-from bergman_orlicz.halfplane import Box, CarlesonSquare, Disk, HPoint
+from bergman_orlicz.halfplane import Box, CarlesonSquare, Disk, HPoint, StripUnion
 
 DIRAC_POWERLOG_LUX = 1.7470451544286443954
 HARDY_SUP_DECAY3 = 1.0851305788461524985
@@ -198,6 +198,29 @@ def test_hardy_norm_decay_frozen():
         assert vals[i] >= vals[i + 1] - 1e-10
 
 
+def test_hardy_norm_custom_growth_closed_form():
+    # t**2 outside the power family bisects each line; the L2 line norm of
+    # |1 - iz|**-3 at height y is sqrt(3*pi/8 * (1+y)**-5)
+    sup, per = O.hardy_norm(DECAY3, G.custom(lambda t: t ** 2))
+    for y, v in per:
+        ref = np.sqrt(3.0 * np.pi / 8.0 * (1.0 + y) ** -5.0)
+        assert abs(v - ref) / ref < 1e-7
+    assert sup == max(v for _, v in per)
+
+
+def test_hardy_norm_power_log_finite():
+    # t**2 log(2+t) >= log(2) t**2, so each line norm is at least
+    # sqrt(log 2) times the L2 line norm
+    sup, per = O.hardy_norm(DECAY3, G.power_log(2, 1, 2))
+    assert np.isfinite(sup) and sup > 0
+    for y, v in per:
+        l2 = np.sqrt(3.0 * np.pi / 8.0 * (1.0 + y) ** -5.0)
+        assert v >= np.sqrt(np.log(2.0)) * l2 * (1 - 1e-7)
+    vals = [v for _, v in per]
+    for i in range(len(vals) - 1):
+        assert vals[i] >= vals[i + 1] - 1e-10
+
+
 def test_hardy_norm_divergent_line():
     with pytest.raises(NotInSpaceError):
         O.hardy_norm(lambda z: np.abs(1.0 - 1j * z) ** -1.0, G.power(1))
@@ -248,6 +271,23 @@ def test_modular_disk_support():
     assert abs(v - np.pi * 0.25) < 1e-7
     v1 = O.modular(ONES, O.valpha_measure(1.0, d), G.power(2))
     assert abs(v1 - np.pi * 0.25) < 1e-7
+
+
+def test_strip_union_support_sums_its_boxes():
+    boxes = (Box(0.0, 1.0, 0.0, 1.0), Box(2.0, 3.0, 0.5, 1.0))
+    union = StripUnion(boxes)
+    mu = O.valpha_measure(0.5, union)
+    phi = G.power_log(2, 1, 2)
+    per_box = [O.modular(DECAY3, O.valpha_measure(0.5, b), phi) for b in boxes]
+    assert O.modular(DECAY3, mu, phi) == per_box[0] + per_box[1]
+    r = O.luxembourg(DECAY3, mu, phi)
+    assert r.iterations > 0 and abs(r.modular_at_value - 1.0) < 1e-8
+    assert abs(O.modular(lambda z: DECAY3(z) / r.value, mu, phi) - 1.0) < 1e-7
+    sq = sum(O.modular(DECAY3, O.valpha_measure(0.5, b), G.power(2))
+             for b in boxes)
+    p2 = O.luxembourg(DECAY3, mu, G.power(2)).value
+    assert abs(p2 - np.sqrt(sq)) < 1e-12 * np.sqrt(sq)
+    assert mu == O.valpha_measure(0.5, union) and mu.support is union
 
 
 def test_modular_box_above_boundary():
