@@ -23,7 +23,8 @@ from . import quadrature as Q
 from .errors import (AccuracyError, BergmanOrliczError, DivergenceError,
                      NotInSpaceError, ParameterError)
 from .growth import inverse as _phi_inverse, power as _power
-from .halfplane import Box, CarlesonSquare, Disk, HPoint, _integrate_region
+from .halfplane import (Box, CarlesonSquare, Disk, HPoint, _integrate_region,
+                        disk_measure)
 
 VANISH_LAMBDA = 1e-300
 MODULAR_TARGET_TOL = 1e-8
@@ -231,13 +232,17 @@ class _ModularEngine:
         else:
             s, mass = mu.support, 1.0
             a = mu.alpha_base if mu.kind == "density" else 0.0
-            if isinstance(s, (Box, CarlesonSquare)):
+            panel = (-0.5, 0.5, 0.5, 1.5)
+            if isinstance(s, Disk):
+                # the polar field's first modular panel: the disk itself
+                mass = disk_measure(s, a)
+                panel = (-np.pi, np.pi, 0.0, s.radius)
+            elif isinstance(s, (Box, CarlesonSquare)):
                 y0, y1 = (0.0, s.interval_length) \
                     if isinstance(s, CarlesonSquare) else (s.y_min, s.y_max)
                 mass = (s.x_max - s.x_min) \
                     * (y1 ** (a + 1) - y0 ** (a + 1)) / (a + 1)
-            typ = float(self.absf.values((-0.5, 0.5, 0.5, 1.5),
-                                         Q.ORDER_LOW).max())
+            typ = float(self.absf.values(panel, Q.ORDER_LOW).max())
         if mass > 0 and typ > 0:
             try:
                 y = _phi_inverse(phi, 1.0 / mass)

@@ -49,6 +49,13 @@ def _panel_1d(f, a, b):
     return hi, hi_abs, abs(hi - lo)
 
 
+def _require_number(total, err, what):
+    """Raise on a NaN value or error estimate: NaN compares False, so the
+    refinement loop stops on it as if it had converged."""
+    if np.isnan(total) or np.isnan(err):
+        raise AccuracyError(f"{what} quadrature produced NaN")
+
+
 def integrate_1d(f, a, b, tol=1e-10, max_panels=MAX_PANELS_1D):
     """Adaptive integral of a vectorized callable on the finite interval [a, b].
 
@@ -89,6 +96,7 @@ def integrate_1d(f, a, b, tol=1e-10, max_panels=MAX_PANELS_1D):
         seq += 1
         heapq.heappush(heap, (-lerr, 2 * seq, pa, pm, lval, la, lerr))
         heapq.heappush(heap, (-rerr, 2 * seq + 1, pm, pb, rval, ra, rerr))
+    _require_number(total, total_err, "1-D")
     return total, total_err
 
 
@@ -204,6 +212,7 @@ def integrate_box(field, rect, tol=1e-8, max_panels=MAX_PANELS_2D):
         total += dv
         total_abs += da
         total_err += de
+    _require_number(total, total_err, "2-D")
     return total, total_abs, max(total_err, 0.0)
 
 

@@ -1,23 +1,27 @@
 """The atom-sum and lattice-geometry kernels, through their callers.
 
 `bergman.atom_sum(...)(z)` evaluates kernel-atom sums in chunks over the
-atoms, and `lattice.covering_report` scans disk pairs and point-disk
-pairs in chunks.  Each is checked here against a per-pair reference
-kept in this file (the "fallback": one atom, one disk against the later
-ones, or one point against every disk at a time), across the chunk
-boundary of 512.  Complex sums agree to a few ulp of the sum of the
-terms' moduli; integer counts and the sign of the separation gap must
-match exactly.
+atoms, and `lattice.covering_report` sweeps the disks row by row (rows
+of equal height and radius, searched in x order).  Each is checked here
+against a per-pair reference kept in this file (the "fallback": one
+atom, one disk against the later ones, or one point against every disk
+at a time), on real lattices, scattered disks (rows of one) and
+generated disk sets with shared rows.  Complex sums agree to a few ulp
+of the sum of the terms' moduli; integer counts and the sign of the
+separation gap must match exactly.
 """
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from bergman_orlicz import bergman as B
 from bergman_orlicz import lattice as L
 from bergman_orlicz import orlicz as O
+from bergman_orlicz.acceptance import _zone_bbox
 from bergman_orlicz.halfplane import Box, HPoint
 
 
@@ -122,8 +126,7 @@ def _check_min_separation(lat):
 
 def test_min_separation_matches_fallback():
     # the lattice's own small disks, then copies with radii grown until
-    # pairs overlap; 21 x 7 = 147 and 41 x 15 = 615 points, the second
-    # across the 512-disk chunk boundary
+    # pairs overlap; 21 x 7 = 147 and 41 x 15 = 615 points
     for delta, window in ((0.8, (10, 3)), (0.5, (20, 7))):
         lo, hi = L.gamma_interval(delta)
         for gamma in (0.5 * (lo + hi), lo + 0.1 * (hi - lo)):
@@ -171,8 +174,9 @@ def test_min_separation_sign_tracks_disjointness():
 
 
 def test_cover_counts_matches_fallback_exactly():
-    # 9 x 5 = 45 disks, then 1025 x 5 = 5125 across the 512-disk chunks,
-    # on the lattice and scattered (where some samples go uncovered)
+    # 9 x 5 = 45 disks, then 1025 x 5 = 5125 in rows of 1025, on the
+    # lattice and scattered into rows of one (where some samples go
+    # uncovered)
     rng = np.random.default_rng(2024)
     for delta, window, n, spread in ((0.5, (4, 2), 300, None),
                                      (0.3, (512, 2), 400, None),
@@ -207,3 +211,112 @@ def test_cover_counts_strict_boundary():
     assert rep.samples == 20
     assert rep.cover_fraction == 1.0
     assert rep.max_overlap == 31
+
+
+def test_cover_counts_settles_both_ends():
+    # Each point gets a row of its own radius with disks at the first few
+    # floats either side of px -+ sqrt(r*r - dy*dy), where the searchsorted
+    # estimate and the strict predicate disagree in both directions.
+    rng = np.random.default_rng(11)
+    n = 200
+    px = rng.uniform(-1.0, 1.0, n)
+    r = rng.uniform(0.2, 0.6, n)
+    py = 1.0 + rng.uniform(-1.0, 1.0, n) * r
+    half = np.sqrt(r * r - (py - 1.0) ** 2)
+    cx = []
+    for end in (px - half, px + half):
+        up, down = end.copy(), end.copy()
+        cx.append(end)
+        for _ in range(4):
+            up, down = np.nextafter(up, np.inf), np.nextafter(down, -np.inf)
+            cx += [up, down]
+    cx = np.concatenate(cx)
+    radii = np.tile(r, cx.size // n)
+    cy = np.ones(cx.size)
+    got = L._cover_counts(px, py, cx, cy, radii)
+    ref = np.sum((px[:, None] - cx) ** 2 + (py[:, None] - cy) ** 2
+                 < radii ** 2, axis=1)
+    assert got.tolist() == ref.tolist()
+
+
+# Generated disk sets: a few rows at heights whose radii are dyadic, x on
+# a 1/64 grid, plus scattered rows of one.  With small radius y/16 and
+# big radius y/2, neighbours 8y grid steps apart (6, 8 or 10 in the rows
+# 0.75, 1.0, 1.25) are tangent, and grid probes land exactly on big
+# circles.
+_ROW_YS = (0.75, 1.0, 1.25)
+_GRID = 64.0
+_REGION = Box(-1.0, 1.0, 0.7, 1.45)
+
+
+@st.composite
+def _row_disks(draw):
+    xs, ys = [], []
+    # row steps (a, b) mean a * 8y + b grid steps: duplicate, overlapping,
+    # tangent, disjoint, far; either every kind may occur or none that
+    # overlaps
+    dup, over, tan, dis, far = (0, 0), (1, -1), (1, 0), (1, 1), (1, 7)
+    kinds = draw(st.sampled_from(((dup, over, tan, dis, far),
+                                  (tan, dis, far), (tan, far), (dis, far))))
+    for y in draw(st.lists(st.sampled_from(_ROW_YS), min_size=1,
+                           max_size=3, unique=True)):
+        t = int(8 * y)
+        steps = draw(st.lists(st.sampled_from([a * t + b for a, b in kinds]),
+                              max_size=8))
+        ks = np.cumsum([draw(st.integers(-48, 0))] + steps)
+        xs += [k / _GRID for k in ks]
+        ys += [y] * len(ks)
+    for x, y in draw(st.lists(st.tuples(st.floats(-0.75, 0.75),
+                                        st.floats(0.7, 1.45)), max_size=2)):
+        xs.append(x)
+        ys.append(y)
+    order = draw(st.permutations(range(len(xs))))
+    # window and gamma only shape the sampling zone, which covers _REGION
+    return L.DeltaLattice(
+        delta=0.5, gamma=0.1, s_delta=1.0 / 16.0, window=(64, 5),
+        points={(i, 0): HPoint(xs[k], ys[k]) for i, k in enumerate(order)})
+
+
+@settings(derandomize=True, max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(_row_disks())
+def test_row_sweep_matches_fallback(lat):
+    rep = L.covering_report(lat, _REGION, n_samples=200, seed=5)
+    ref = _min_gap_ref(lat)
+    assert rep.disjoint_ok == (ref > 0.0)
+    if ref > 0.0:
+        assert _gap_violations(rep) == []
+    else:
+        assert _gap_violations(rep) == [pytest.approx(ref, rel=1e-12,
+                                                      abs=1e-15)]
+    px, py = L._sample_zone(lat, _REGION, 200, np.random.default_rng(5))
+    counts = np.array([_cover_count_ref(lat, x, y) for x, y in zip(px, py)])
+    assert rep.max_overlap == int(counts.max())
+    assert rep.cover_fraction == float(np.mean(counts > 0))
+    # grid probes, many on a circle, through the helper itself
+    xs, ys = _centers(lat)
+    gx = np.arange(-96, 97) / _GRID
+    gy = np.unique(np.concatenate([ys, 0.5 * ys, 1.5 * ys]))
+    qx, qy = (a.ravel() for a in np.meshgrid(gx, gy))
+    got = L._cover_counts(qx, qy, xs, ys, lat.delta * ys)
+    assert got.tolist() == [_cover_count_ref(lat, x, y)
+                            for x, y in zip(qx, qy)]
+
+
+def test_acceptance_lattices_recount():
+    # the lattice criterion's reports, every sample recounted against
+    # every disk; max_overlap is the number the criterion prints
+    for delta, overlap in ((0.1, 2121), (0.3, 1116), (0.5, 659)):
+        lat = L.build(delta, (50, 10))
+        region = Box(*_zone_bbox(lat))
+        rep = L.covering_report(lat, region, n_samples=10000, seed=7)
+        px, py = L._sample_zone(lat, region, 10000, np.random.default_rng(7))
+        xs, ys = _centers(lat)
+        counts = np.concatenate([
+            np.sum((px[i:i + 500, None] - xs) ** 2
+                   + (py[i:i + 500, None] - ys) ** 2 < (delta * ys) ** 2,
+                   axis=1) for i in range(0, px.size, 500)])
+        assert rep.samples == counts.size == 10000
+        assert rep.max_overlap == int(counts.max()) == overlap
+        assert rep.cover_fraction == float(np.mean(counts > 0)) == 1.0
+        assert rep.disjoint_ok and rep.violations == ()

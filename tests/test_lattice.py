@@ -13,6 +13,11 @@ from bergman_orlicz.halfplane import Box, Disk, HPoint
 GAMMA_LO_05 = 0.0090173136768804503469
 GAMMA_HI_05 = 0.045143061410455219733
 S_DELTA_05 = 0.0031104574646330360048
+# minimum small-disk gap over window (20, 7) at delta=0.5, small radius
+# rho * height (closed form over the extreme rows, no scan)
+WINDOW_GAP_05 = {1: 0.0111081997441958395106540681471011113096,
+                 3: 0.00009494415780906604489161008151868620594038,
+                 10: -0.04907813599447952949101838416041651535605}
 
 
 def test_gamma_interval_frozen():
@@ -116,6 +121,23 @@ def test_disjointness_margins_frozen():
     a, b = lat.point(0, 0), lat.point(0, 1)
     gap = abs(a.z - b.z) - lat.s_delta * (a.y + b.y)
     assert abs(gap - 0.01266797861812610657) < 1e-12
+
+
+def test_window_gap_matches_closed_form():
+    # the oracle's gap comes from row arithmetic alone; covering_report
+    # reports it (a violation) when negative and otherwise only its sign
+    lat = L.build(0.5, (20, 7))
+    for k, gap in WINDOW_GAP_05.items():
+        grown = L.DeltaLattice(delta=lat.delta, gamma=lat.gamma,
+                               s_delta=k * lat.s_delta, window=lat.window,
+                               points=lat.points)
+        rep = L.covering_report(grown, n_samples=100, seed=0)
+        assert rep.disjoint_ok == (gap > 0)
+        reported = [v[1] for v in rep.violations if v[0] == "disjointness_gap"]
+        if gap < 0:
+            assert reported == [pytest.approx(gap, rel=1e-12)]
+        else:
+            assert reported == []
 
 
 def test_covering_report_reference_region():

@@ -273,6 +273,27 @@ def test_modular_disk_support():
     assert abs(v1 - np.pi * 0.25) < 1e-7
 
 
+def test_lux_disk_seed_reads_only_the_disk():
+    # the bisection seed samples |f| on the disk's own polar panel, so
+    # f = 1/Im z never sees a point outside the disk or below the axis
+    disk = Disk(HPoint(0.0, 0.5), 0.5)
+    mu = O.valpha_measure(0.0, disk)
+    phi = G.power_log(2, 1, 2)
+    seen = []
+
+    def f(z):
+        seen.append(np.asarray(z).ravel())
+        return 1.0 / np.imag(z)
+
+    O._ModularEngine(f, mu, 1e-8).start(phi)
+    z = np.concatenate(seen)
+    assert z.size > 0
+    assert np.all(np.abs(z - disk.center.z) <= disk.radius * (1 + 1e-12))
+    r = O.luxembourg(f, mu, phi)
+    assert r.iterations <= 30
+    assert abs(r.modular_at_value - 1.0) < 1e-7
+
+
 def test_strip_union_support_sums_its_boxes():
     boxes = (Box(0.0, 1.0, 0.0, 1.0), Box(2.0, 3.0, 0.5, 1.0))
     union = StripUnion(boxes)

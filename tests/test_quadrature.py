@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from bergman_orlicz import quadrature as Q
-from bergman_orlicz.errors import DivergenceError
+from bergman_orlicz.errors import AccuracyError, DivergenceError
 
 
 def test_gauss_exact_on_polynomials():
@@ -68,6 +68,16 @@ def test_box_graded_divergence_flagged():
     field = Q.Field2D(lambda x, y: 1.0 / y)
     with pytest.raises(DivergenceError):
         Q.integrate_box_graded(field, 0.0, 1.0, 1.0, tol=1e-9)
+
+
+def test_nan_integrand_raises():
+    # a NaN stops the refinement loop (NaN compares False), so it must be
+    # reported rather than returned
+    field = Q.Field2D(lambda x, y: np.where(x > 0.5, np.nan, 1.0))
+    with pytest.raises(AccuracyError):
+        Q.integrate_box(field, (0.0, 1.0, 0.0, 1.0))
+    with pytest.raises(AccuracyError):
+        Q.integrate_1d(lambda x: np.where(x > 0.5, np.nan, 1.0), 0.0, 1.0)
 
 
 def test_halfplane_kernel_power():

@@ -35,6 +35,29 @@ def main():
     bot = (1 - d2 / 20) ** mp.mpf("0.25") * r
     print(f"jprime_gap = {mp.nstr(bot - top, 20)}   (positive = disjoint)")
 
+    print("# minimum small-disk gap over window (20, 7), radius rho * height")
+    for k in (1, 3, 10):
+        print(f"window_gap(rho={k}*s_delta) = "
+              f"{mp.nstr(window_gap(d, g, k * sd, 7), 40)}")
+
+
+def window_gap(d, g, rho, j_max):
+    """Smallest (center distance - radius sum) of the small disks over
+    the window |l| <= l_max, |j| <= j_max, both bounds at least 1.
+
+    Every gap scales with the lower row's height s = 2^(g j).  Points at
+    l = 0 in rows j and j + m leave s [R (1 - rho) - (1 + rho)] with
+    R = 2^(g m), smallest at m = 1 for rho < 1; an x offset only adds
+    distance; horizontal neighbours in a row leave s [d^2/8 - 2 rho].
+    So the minimum sits at an extreme row: the lowest if the bracket is
+    positive, the highest if it is negative.
+    """
+    r = mp.mpf(2) ** g
+    cross = (r - 1) - rho * (1 + r)
+    same = d * d / 8 - 2 * rho
+    return min([cross * r ** j for j in (-j_max, j_max - 1)]
+               + [same * r ** j for j in (-j_max, j_max)])
+
 
 if __name__ == "__main__":
     main()
