@@ -20,6 +20,7 @@ import datetime
 import io
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -440,10 +441,17 @@ def main(argv=None):
         return int(e.code or 0)
     try:
         if args.handler is _cmd_verify:
-            return _cmd_verify(args)
-        result, table = args.handler(args)
-        _emit(result, table, args)
-        return EXIT_OK
+            code = _cmd_verify(args)
+        else:
+            _emit(*args.handler(args), args)
+            code = EXIT_OK
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout: write nothing more; devnull takes the
+        # flush at interpreter exit
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_INTERNAL
     except _VALIDATION_ERRORS as e:
         _print_error(type(e).__name__, e)
         return EXIT_VALIDATION

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DivergenceError, OverflowBracketError, ParameterError
-from .quadrature import integrate_1d
+from .quadrature import _sum_tail, integrate_1d
 
 GRID_POINTS = 400
 GRID_LO = 1e-8
@@ -330,38 +330,23 @@ def inverse_vec(phi, y):
     return out
 
 
-def _dini_integral(phi, t, tol=1e-9, ratio=2.0, max_strips=3000):
-    """int_0^t Phi(s)/s^2 ds by geometric strips; flags divergence.
+def _dini_integral(phi, t, tol=1e-9):
+    """int_0^t Phi(s)/s^2 ds by strips that halve toward 0; flags divergence.
 
-    The decay threshold 0.995 resolves convergent powers down to roughly
-    t^{1.01}; exactly linear growth gives ratio 1 and is flagged.
+    The decay threshold 0.995 flags exactly linear growth; t^1.03 still
+    converges, t^1.02 reaches subnormal s first and raises AccuracyError.
     """
 
-    def f(s):
-        return phi(s) / (s * s)
+    def strips():
+        hi = t
+        for _ in range(3000):
+            # / s / s: s * s underflows to 0 long before s does
+            v, e = integrate_1d(lambda s: phi(s) / s / s, hi / 2, hi, tol=tol)
+            yield v, abs(v), e
+            hi /= 2
 
-    total = 0.0
-    hi = t
-    prev = None
-    flat = 0
-    for k in range(max_strips):
-        lo = hi / ratio
-        v, _ = integrate_1d(f, lo, hi, tol=tol)
-        total += v
-        if prev is not None and prev > 0:
-            if v >= 0.995 * prev:
-                flat += 1
-                if flat >= 8 and k > 12:
-                    raise DivergenceError(
-                        f"Dini integral of {phi.label} does not converge at 0"
-                    )
-            else:
-                flat = 0
-        prev = v
-        if abs(v) <= tol * max(abs(total), 1e-300) / 8.0:
-            return total
-        hi = lo
-    raise DivergenceError(f"Dini integral of {phi.label}: no tail decay in {max_strips} strips")
+    return _sum_tail(strips(), tol, (0.995, 8, 12),
+                     f"Dini integral of {phi.label}")[0]
 
 
 @dataclass(frozen=True)
@@ -429,11 +414,10 @@ def regularity_report(phi, grid=None):
     return RegularityReport(lower_type, upper_type, delta2, nabla2, (a, b), t, convex_ok)
 
 
-def _fit_dini_constant(phi, points=None):
+def _fit_dini_constant(phi):
     """sup_t of (t/Phi(t)) int_0^t Phi(s)/s^2 ds, or (False, inf) on divergence."""
-    pts = np.logspace(-6, 6, 25) if points is None else points
     worst = 0.0
-    for t in pts:
+    for t in np.logspace(-6, 6, 25):
         try:
             val = _dini_integral(phi, float(t))
         except DivergenceError:

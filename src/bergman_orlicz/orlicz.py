@@ -156,11 +156,14 @@ class _ComboField:
         self._lam = lam
 
     def values(self, rect, order):
+        # clip the integrand, not Phi alone: y^alpha with alpha < 0 lifts a
+        # clipped Phi past the float range near y = 0.  Where the weight is
+        # 0 so is the integrand, even where Phi overflowed to inf.
         v = self._phi(self._absf.values(rect, order) / self._lam)
-        v = np.minimum(v, VALUE_CLIP)
-        if self._wt is not None:
-            v = v * self._wt.values(rect, order)
-        return v
+        w = self._wt.values(rect, order)
+        if not w.all():
+            v = np.where(w == 0, 0.0, v)
+        return np.minimum(v * w, VALUE_CLIP)
 
 
 class _ModularEngine:

@@ -5,10 +5,11 @@ sequence-number tie-break, so results are bit-stable for a fixed integrand.
 Error estimates come from comparing the panel value at the working order with
 a lower-order companion rule on the same panel.
 
-Improper integrals (half-plane tails, boundary singularities y^a with a > -1)
-are handled by geometric strips and doubling shells; divergence is detected
-from sustained non-decay of the strip/shell magnitudes rather than from
-magnitude caps, which misclassify slowly-decaying convergent integrands.
+Improper integrals (the real line, boundary singularities y^a with a > -1,
+the half-plane) are cut into doubling shells or strips halving toward y = 0,
+and one driver, `_sum_tail`, sums them: it detects divergence from sustained
+non-decay of the piece masses rather than from magnitude caps, which
+misclassify slowly-decaying convergent integrands.
 """
 
 import heapq
@@ -22,9 +23,6 @@ ORDER_LOW = 8
 ABS_FLOOR = 1e-300
 MAX_PANELS_1D = 2000
 MAX_PANELS_2D = 6000
-STRIP_RATIO = 2.0
-SHELL_DECAY_LIMIT = 0.95
-SHELL_DECAY_RUN = 6
 
 _nodes_cache = {}
 
@@ -50,13 +48,16 @@ def _panel_1d(f, a, b):
 
 
 def _require_number(total, err, what):
-    """Raise on a NaN value or error estimate: NaN compares False, so the
-    refinement loop stops on it as if it had converged."""
+    """Raise on a NaN value or error estimate (NaN compares False, so the
+    refinement loop stops on it as if it had converged) and on an infinite
+    value (the integrand is infinite at a node, or its sum overflowed)."""
     if np.isnan(total) or np.isnan(err):
         raise AccuracyError(f"{what} quadrature produced NaN")
+    if np.isinf(total):
+        raise DivergenceError(f"{what} quadrature produced an infinite value")
 
 
-def integrate_1d(f, a, b, tol=1e-10, max_panels=MAX_PANELS_1D):
+def integrate_1d(f, a, b, tol=1e-10):
     """Adaptive integral of a vectorized callable on the finite interval [a, b].
 
     Parameters
@@ -66,9 +67,8 @@ def integrate_1d(f, a, b, tol=1e-10, max_panels=MAX_PANELS_1D):
     a, b : float
         Endpoints, a <= b.
     tol : float
-        Relative tolerance against max(|integral|, ABS_FLOOR).
-    max_panels : int
-        Refinement budget; exceeding it raises AccuracyError.
+        Relative tolerance against max(|integral|, ABS_FLOOR); more than
+        MAX_PANELS_1D refinements raise AccuracyError.
 
     Returns
     -------
@@ -82,7 +82,7 @@ def integrate_1d(f, a, b, tol=1e-10, max_panels=MAX_PANELS_1D):
     # the 4e-16 * |f|-mass term is the float noise floor; below it further
     # refinement only chases roundoff
     while total_err > max(tol * abs(total), 4e-16 * total_abs, ABS_FLOOR) and heap:
-        if seq >= max_panels:
+        if seq >= MAX_PANELS_1D:
             raise AccuracyError(
                 f"1-D quadrature used {seq} panels without reaching tol={tol}"
             )
@@ -100,34 +100,50 @@ def integrate_1d(f, a, b, tol=1e-10, max_panels=MAX_PANELS_1D):
     return total, total_err
 
 
-def integrate_1d_line(f, tol=1e-10, x_init=1.0, max_shells=400):
-    """Integral of f over the whole real line via doubling shells.
+def _sum_tail(pieces, tol, rule, what, base=(0.0, 0.0, 0.0)):
+    """Sum (value, abs_value, err) pieces onto `base`; return the totals.
 
-    Starts from [-x_init, x_init] and adds shells [X, 2X] on both sides until
-    the last shell is negligible; sustained non-decay raises DivergenceError.
+    Stops at the first piece whose mass (abs_value) is at most
+    tol * max(summed masses, ABS_FLOOR) / 8.  rule = (limit, run, warmup):
+    `run` successive pieces, each holding at least `limit` times the mass of
+    the one before, raise DivergenceError once past piece `warmup`.  Running
+    out of pieces raises AccuracyError.
     """
-    total, err = integrate_1d(f, -x_init, x_init, tol=tol * 0.5)
-    mags, flat_run = [], 0
-    x = x_init
-    for _ in range(max_shells):
-        rv, re_ = integrate_1d(f, x, 2 * x, tol=tol * 0.5)
-        lv, le = integrate_1d(f, -2 * x, -x, tol=tol * 0.5)
-        total += rv + lv
-        err += re_ + le
-        mag = abs(rv) + abs(lv)
-        if mags:
-            prev = mags[-1]
-            if prev > 0 and mag >= SHELL_DECAY_LIMIT * prev:
-                flat_run += 1
-                if flat_run >= SHELL_DECAY_RUN and len(mags) > 8:
-                    raise DivergenceError("line integral tail does not decay")
-            else:
-                flat_run = 0
-        mags.append(mag)
-        if mag <= tol * max(abs(total), ABS_FLOOR) / 8.0:
-            return total, err
-        x *= 2
-    raise AccuracyError(f"line shells exhausted ({max_shells}) without tail decay")
+    limit, run, warmup = rule
+    total, total_abs, err = base
+    prev, flat = 0.0, 0
+    for k, (v, a, e) in enumerate(pieces):
+        total += v
+        total_abs += a
+        err += e
+        flat = flat + 1 if prev > 0 and a >= limit * prev else 0
+        if flat >= run and k > warmup:
+            raise DivergenceError(f"{what} does not decay (piece {k})")
+        if a <= tol * max(total_abs, ABS_FLOOR) / 8.0:
+            return total, total_abs, err
+        prev = a
+    raise AccuracyError(f"{what}: pieces exhausted without decay")
+
+
+def integrate_1d_line(f, tol=1e-10):
+    """Integral of f over the real line: [-1, 1], then shells +-[X, 2X].
+
+    A shell is negligible against the summed |shell| values, not |integral|;
+    the two agree for the nonnegative integrands that all callers pass.
+    """
+
+    def shells():
+        x = 1.0
+        for _ in range(400):
+            rv, re_ = integrate_1d(f, x, 2 * x, tol=tol * 0.5)
+            lv, le = integrate_1d(f, -2 * x, -x, tol=tol * 0.5)
+            yield rv + lv, abs(rv) + abs(lv), re_ + le
+            x *= 2
+
+    value, err = integrate_1d(f, -1.0, 1.0, tol=tol * 0.5)
+    total, _, err = _sum_tail(shells(), tol, (0.95, 6, 8), "line integral tail",
+                              (value, abs(value), err))
+    return total, err
 
 
 class Field2D:
@@ -138,13 +154,13 @@ class Field2D:
     one Luxembourg solve) never re-evaluate the base field.
     """
 
-    def __init__(self, fn, cache=True):
+    def __init__(self, fn):
         self.fn = fn
-        self._cache = {} if cache else None
+        self._cache = {}
 
     def values(self, rect, order):
         key = (rect, order)
-        if self._cache is not None and key in self._cache:
+        if key in self._cache:
             return self._cache[key]
         x0, x1, y0, y1 = rect
         t, _ = gauss_nodes(order)
@@ -152,8 +168,7 @@ class Field2D:
         ys = 0.5 * (y0 + y1) + 0.5 * (y1 - y0) * t
         X, Y = np.meshgrid(xs, ys, indexing="ij")
         vals = np.asarray(self.fn(X, Y))
-        if self._cache is not None:
-            self._cache[key] = vals
+        self._cache[key] = vals
         return vals
 
 
@@ -169,7 +184,7 @@ def _panel_2d(field, rect):
     return hi, hi_abs, abs(hi - lo)
 
 
-def integrate_box(field, rect, tol=1e-8, max_panels=MAX_PANELS_2D):
+def integrate_box(field, rect, tol=1e-8):
     """Adaptive tensor-product integral of a Field2D over a rectangle.
 
     Splits the worst panel across its longer edge; deterministic ordering.
@@ -187,7 +202,7 @@ def integrate_box(field, rect, tol=1e-8, max_panels=MAX_PANELS_2D):
     heap = [(-err, 0, rect, value, aval, err)]
     total, total_abs, total_err, seq = value, aval, err, 0
     while total_err > tol * max(abs(total), ABS_FLOOR) and heap:
-        if seq >= max_panels:
+        if seq >= MAX_PANELS_2D:
             raise AccuracyError(
                 f"2-D quadrature used {seq} panels without reaching tol={tol}"
             )
@@ -216,71 +231,38 @@ def integrate_box(field, rect, tol=1e-8, max_panels=MAX_PANELS_2D):
     return total, total_abs, max(total_err, 0.0)
 
 
-def integrate_box_graded(field, x0, x1, y_top, tol=1e-8, ratio=STRIP_RATIO,
-                         max_strips=400, max_panels=MAX_PANELS_2D):
-    """Integral over (x0, x1) x (0, y_top] with geometric strips toward y = 0.
+def integrate_box_graded(field, x0, x1, y_top, tol=1e-8):
+    """Integral over (x0, x1) x (0, y_top] by strips halving toward y = 0."""
 
-    Strip heights shrink by `ratio`; terminates when the last strip's absolute
-    mass is below tol * |total| / 8; sustained non-decay raises DivergenceError.
+    def strips():
+        hi = y_top
+        for _ in range(400):
+            yield integrate_box(field, (x0, x1, hi / 2, hi), tol=tol)
+            hi /= 2
+
+    return _sum_tail(strips(), tol, (0.95, 6, 12), "mass near y=0")
+
+
+def integrate_halfplane(field, tol=1e-8):
+    """Integral over the upper half-plane: the graded base [-1, 1] x (0, 1],
+    then shells of two graded side slabs and a top slab doubling the box.
+
+    Shells without mass are skipped until some mass is seen, so mass far
+    from the origin is found; a field with none integrates to 0.
     """
-    total, total_abs, err = 0.0, 0.0, 0.0
-    mags, flat_run = [], 0
-    hi = y_top
-    for k in range(max_strips):
-        lo = hi / ratio
-        v, a, e = integrate_box(field, (x0, x1, lo, hi), tol=tol, max_panels=max_panels)
-        total += v
-        total_abs += a
-        err += e
-        if mags:
-            prev = mags[-1]
-            if prev > 0 and a >= SHELL_DECAY_LIMIT * prev:
-                flat_run += 1
-                if flat_run >= SHELL_DECAY_RUN and k > 12:
-                    raise DivergenceError(
-                        f"mass near y=0 does not decay (strip {k}, y~{hi:.3g})"
-                    )
-            else:
-                flat_run = 0
-        mags.append(a)
-        if a <= tol * max(total_abs, ABS_FLOOR) / 8.0:
-            return total, total_abs, err
-        hi = lo
-    raise AccuracyError(f"graded strips exhausted ({max_strips}) without tail decay")
+    base = integrate_box_graded(field, -1.0, 1.0, 1.0, tol=tol)
 
+    def shells():
+        X, seen = 1.0, base[1] > 0
+        for _ in range(60):
+            lv, la, le = integrate_box_graded(field, -2 * X, -X, 2 * X, tol=tol)
+            rv, ra, re_ = integrate_box_graded(field, X, 2 * X, 2 * X, tol=tol)
+            tv, ta, te = integrate_box(field, (-X, X, X, 2 * X), tol=tol)
+            seen = seen or la + ra + ta > 0
+            if seen:
+                yield lv + rv + tv, la + ra + ta, le + re_ + te
+            X *= 2
+        if not seen:
+            yield 0.0, 0.0, 0.0
 
-def integrate_halfplane(field, tol=1e-8, x_init=1.0, y_init=1.0, max_shells=60):
-    """Integral over the whole upper half-plane by doubling shells.
-
-    The base region is [-x_init, x_init] x (0, y_init] (graded toward y = 0);
-    each shell adds the left/right slabs (also graded) and the top slab of the
-    doubled box. Terminates when the last shell's absolute mass is negligible
-    and decaying; sustained non-decay raises DivergenceError.
-    """
-    X, Y = x_init, y_init
-    total, total_abs, err = integrate_box_graded(field, -X, X, Y, tol=tol)
-    mags, flat_run = [], 0
-    for k in range(max_shells):
-        X2, Y2 = 2 * X, 2 * Y
-        lv, la, le = integrate_box_graded(field, -X2, -X, Y2, tol=tol)
-        rv, ra, re_ = integrate_box_graded(field, X, X2, Y2, tol=tol)
-        tv, ta, te = integrate_box(field, (-X, X, Y, Y2), tol=tol)
-        total += lv + rv + tv
-        total_abs += la + ra + ta
-        err += le + re_ + te
-        mag = la + ra + ta
-        if mags:
-            prev = mags[-1]
-            if prev > 0 and mag >= SHELL_DECAY_LIMIT * prev:
-                flat_run += 1
-                if flat_run >= SHELL_DECAY_RUN:
-                    raise DivergenceError(
-                        f"half-plane tail does not decay (shell {k}, X={X:.3g})"
-                    )
-            else:
-                flat_run = 0
-        mags.append(mag)
-        if mag <= tol * max(total_abs, ABS_FLOOR) / 8.0:
-            return total, total_abs, err
-        X, Y = X2, Y2
-    raise AccuracyError(f"half-plane shells exhausted ({max_shells}) without decay")
+    return _sum_tail(shells(), tol, (0.95, 6, 0), "half-plane tail", base)

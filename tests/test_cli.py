@@ -1,21 +1,24 @@
 """Command-line front end: report shapes, exit codes, idempotence.
 
-Drives `main` in-process and captures stdout; one subprocess case
-covers the module entry point.  Error paths must print a single JSON
-object {"error": {"kind": ..., "detail": ...}} and use the documented
-exit codes: 0 ok, 2 validation, 3 accuracy/divergence, 1 internal.
+Drives `main` in-process and captures stdout; subprocess cases cover
+the module entry point, the package import and a closed stdout.  Error
+paths must print a single JSON object {"error": {"kind": ..., "detail":
+...}} and use the documented exit codes: 0 ok, 2 validation,
+3 accuracy/divergence, 1 internal.
 """
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from bergman_orlicz import bergman, lattice
-from bergman_orlicz.cli import (EXIT_ACCURACY, EXIT_OK, EXIT_VALIDATION,
-                                main)
+from bergman_orlicz.cli import (EXIT_ACCURACY, EXIT_INTERNAL, EXIT_OK,
+                                EXIT_VALIDATION, main)
 from bergman_orlicz.errors import ParameterError
 
 UNIT_SQUARE_V0 = ('{"density":{"kind":"valpha","alpha":0,'
@@ -26,6 +29,16 @@ PHI_T2 = '{"family":"power","p":2}'
 def _run(capsys, argv):
     code = main(argv)
     return code, capsys.readouterr().out
+
+
+def _child_env(**extra):
+    """Environment for a child interpreter: pytest's `pythonpath` setting
+    reaches only this process, so put the source tree on PYTHONPATH."""
+    env = dict(os.environ, **extra)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    return env
 
 
 # ------------------------------------------------------------ basic reports
@@ -262,9 +275,25 @@ def test_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "bergman_orlicz.cli", "gamma",
          "--delta", "0.5", "--no-meta"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=_child_env())
     assert proc.returncode == 0
     assert "midpoint" in json.loads(proc.stdout)
+
+
+@pytest.mark.parametrize("unbuffered", ["1", ""])
+def test_closed_stdout_exits_without_traceback(unbuffered):
+    # the reader is gone before the child has imported anything, so the
+    # report hits a broken pipe: on its write when stdout is unbuffered,
+    # on the flush otherwise
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "bergman_orlicz.cli", "verify",
+         "--suite", "beta"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env=_child_env(PYTHONUNBUFFERED=unbuffered))
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=120)
+    assert err == b""
+    assert proc.returncode == EXIT_INTERNAL
 
 
 def test_package_import_leaves_scipy_unloaded():
@@ -276,5 +305,5 @@ def test_package_import_leaves_scipy_unloaded():
          "assert 'acceptance' in bo.__all__\n"
          "assert bo.acceptance.run\n"
          "assert 'scipy' in sys.modules"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=_child_env())
     assert proc.returncode == 0, proc.stderr

@@ -165,6 +165,14 @@ def test_report_cubic():
     assert abs(lo - 3.0) < 1e-9 and abs(hi - 3.0) < 1e-9
 
 
+@pytest.mark.parametrize("p", [1.05, 1.1, 1.2, 2.0])
+def test_report_dini_constant_near_linear(p):
+    # sup_t (t / t^p) int_0^t s^(p-2) ds = 1/(p-1); p = 1.05 needs about
+    # 560 halvings toward 0, past the point where s*s underflows
+    ok, c = G.regularity_report(G.power(p)).nabla2
+    assert ok and abs(c * (p - 1) - 1) < 1e-7
+
+
 def test_report_linear():
     rep = G.regularity_report(G.power(1))
     assert rep.delta2 == (True, 2.0)

@@ -108,6 +108,12 @@ def test_integrate_strip_union():
     assert abs(v - 2.0) < 1e-8
 
 
+def test_integrate_mass_far_from_origin():
+    # the base box and the first shells hold no mass at all
+    f = lambda z: np.exp(-np.abs(z - (40 + 20j)) ** 2)
+    assert abs(H.integrate(f, 0.0) - np.pi) < 1e-8
+
+
 def test_integrate_divergent_flagged():
     with pytest.raises(DivergenceError):
         H.integrate(lambda z: 1.0 / (1.0 + np.abs(z) ** 2), 0.0, None, tol=1e-8)

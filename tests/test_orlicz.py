@@ -311,6 +311,31 @@ def test_strip_union_support_sums_its_boxes():
     assert mu == O.valpha_measure(0.5, union) and mu.support is union
 
 
+def test_lux_boundary_box_negative_alpha():
+    # y^-0.5 near y = 0 lifts clipped Phi values at the vanishing probe
+    mu = O.valpha_measure(-0.5, Box(-1.0, 1.0, 0.0, 1.0))
+    f = lambda z: (z + 1j) ** -3
+    closed = O.luxembourg(f, mu, G.power(3, coef=2)).value
+    r = O.luxembourg(f, mu, G.custom(lambda t: 2 * t ** 3,
+                                     lambda t: 6 * t ** 2, "2t3"))
+    assert r.iterations > 0
+    assert abs(r.value - closed) < 1e-7 * closed
+    r = O.luxembourg(f, mu, G.power_log(2, 1, 2))
+    assert np.isfinite(r.value) and abs(r.modular_at_value - 1.0) < 1e-7
+
+
+def test_lux_weight_underflowing_to_zero():
+    # at the vanishing probe Phi overflows to inf where the weight is 0
+    mu = O.density_measure(lambda z: np.exp(-1000 * np.real(z) ** 2),
+                           Box(-1.0, 1.0, 0.5, 1.5))
+    f = lambda z: (z + 1j) ** -3
+    closed = O.luxembourg(f, mu, G.power(3, coef=2)).value
+    r = O.luxembourg(f, mu, G.custom(lambda t: 2 * t ** 3,
+                                     lambda t: 6 * t ** 2, "2t3"))
+    assert r.iterations > 0
+    assert abs(r.value - closed) < 1e-7 * closed
+
+
 def test_modular_box_above_boundary():
     mu = O.valpha_measure(0.0, Box(0.0, 1.0, 1.0, 2.0))
     v = O.modular(lambda z: np.imag(z), mu, G.power(2))

@@ -37,6 +37,11 @@ def test_line_lorentz():
     assert abs(v - np.pi) < 1e-7
 
 
+def test_line_divergence_flagged():
+    with pytest.raises(DivergenceError):
+        Q.integrate_1d_line(lambda x: 1.0 / (1.0 + np.abs(x)), tol=1e-9)
+
+
 def test_field_caches_panels():
     calls = [0]
 
@@ -78,6 +83,21 @@ def test_nan_integrand_raises():
         Q.integrate_box(field, (0.0, 1.0, 0.0, 1.0))
     with pytest.raises(AccuracyError):
         Q.integrate_1d(lambda x: np.where(x > 0.5, np.nan, 1.0), 0.0, 1.0)
+
+
+def test_infinite_integrand_raises():
+    # a node lands on the pole 0.5 + 0.55i, so the panel sum is inf
+    pole = 0.5 + 0.55j
+    field = Q.Field2D(lambda x, y: np.abs(1.0 / (x + 1j * y - pole)) ** 2)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        with pytest.raises(DivergenceError):
+            Q.integrate_box(field, (0.0, 1.0, 0.2, 1.0))
+
+
+def test_zero_field_integrates_to_zero():
+    field = Q.Field2D(lambda x, y: np.zeros_like(x))
+    assert Q.integrate_box_graded(field, 0.0, 1.0, 1.0) == (0.0, 0.0, 0.0)
+    assert Q.integrate_halfplane(field) == (0.0, 0.0, 0.0)
 
 
 def test_halfplane_kernel_power():
