@@ -142,16 +142,6 @@ def _crit_luxnorm():
 
 
 # --------------------------------------------------------------- 4 lattice
-def _zone_bbox(lat):
-    l_max, j_max = lat.window
-    d2 = lat.delta ** 2
-    half = d2 / 4.0 * (1 + l_max / 2.0)
-    s_hi = 2.0 ** (lat.gamma * j_max)
-    s_lo = 2.0 ** (-lat.gamma * j_max)
-    return (-half * s_hi, half * s_hi,
-            (1 - d2 / 4.0) * s_lo, (1 + d2 / 4.0) * s_hi)
-
-
 def _crit_lattice():
     """Disjointness, covering, and overlap stability of the point family."""
     parts = []
@@ -163,8 +153,8 @@ def _crit_lattice():
                  f"delta={delta}: cover fraction {rep.cover_fraction}")
         _require(not rep.violations,
                  f"delta={delta}: violations {rep.violations[:3]}")
-        x0, x1, y0, y1 = _zone_bbox(lat)
-        r0 = Box(x0, x1, y0, y1)
+        r0 = lattice._zone_box(lat)
+        x0, x1, y0, y1 = r0.bbox
         cx, cy = 0.5 * (x0 + x1), 0.5 * (y0 + y1)
         r1 = Box(cx - (x1 - x0), cx + (x1 - x0),
                  max(cy - (y1 - y0), 1e-12), cy + (y1 - y0))

@@ -17,8 +17,8 @@ import numpy as np
 from . import bergman, growth
 from .errors import (AccuracyError, BergmanOrliczError, ConditioningError,
                      ParameterError)
-from .orlicz import (LatticeSequence, luxembourg, modular, seq_luxembourg,
-                     valpha_measure)
+from .orlicz import (LatticeSequence, _random_sequence, luxembourg, modular,
+                     seq_luxembourg, valpha_measure)
 
 RIDGE_DEFAULT = 1e-10
 GRAM_COND_LIMIT = 1e12
@@ -180,19 +180,12 @@ def equivalence_experiment(phi, alpha, delta, trials, seed,
     lat = _lattice.build(delta, window)
     params = SynthesisParams(alpha=alpha, lattice=lat)
     rng = np.random.default_rng(seed)
-    l_max, j_max = lat.window
     is_l2 = phi.family == "power" and phi.params["p"] == 2.0 \
         and phi.params["coef"] == 1.0
 
     ratios_synth, ratios_sample, rows = [], [], []
     for t in range(trials):
-        n = int(rng.integers(1, support_size + 1))
-        entries = {}
-        for _ in range(n):
-            k = (int(rng.integers(-l_max, l_max + 1)),
-                 int(rng.integers(-j_max, j_max + 1)))
-            entries[k] = complex(rng.normal(), rng.normal())
-        mu = LatticeSequence(entries, lat)
+        mu = _random_sequence(lat, rng, 1, support_size)
         norm_mu = seq_luxembourg(mu, phi, alpha).value
         f_mu = synthesize(mu, params)
         if is_l2:

@@ -16,9 +16,9 @@ import numpy as np
 
 from . import bergman, growth
 from .errors import AccuracyError, DivergenceError, ParameterError
-from .halfplane import Box, Disk, HPoint, beta, disk_measure, integrate_disk
-from .orlicz import (MeasureSpec, atomic_measure, luxembourg, mobius_density,
-                     mobius_measure, modular, valpha_measure)
+from .halfplane import Box, Disk, HPoint, beta, integrate, integrate_disk
+from .orlicz import (MeasureSpec, _random_sequence, atomic_measure, luxembourg,
+                     mobius_density, mobius_measure, modular, valpha_measure)
 
 log = logging.getLogger(__name__)
 
@@ -59,19 +59,10 @@ def _measure_of_disk(mu, disk, tol):
         if weight is not None:
             out = out * weight(z)
         if support is not None:
-            out = out * support.contains(z) if hasattr(support, "contains") \
-                else out * _region_mask(support, z)
+            out = out * support.contains(z)
         return out
 
     return integrate_disk(f, mu.alpha_base, disk, tol=tol)
-
-
-def _region_mask(region, z):
-    x, y = np.real(z), np.imag(z)
-    if isinstance(region, Box):
-        return ((region.x_min <= x) & (x <= region.x_max)
-                & (region.y_min <= y) & (y <= region.y_max)).astype(float)
-    raise ParameterError(f"unsupported support region {type(region).__name__}")
 
 
 def average(mu, z, s, alpha=0.0, tol=1e-8):
@@ -79,7 +70,7 @@ def average(mu, z, s, alpha=0.0, tol=1e-8):
     if not 0 < s < 1:
         raise ParameterError(f"disk ratio must lie in (0,1), got {s}")
     disk = Disk(_as_hpoint(z), s)
-    return _measure_of_disk(mu, disk, tol) / disk_measure(disk, alpha)
+    return _measure_of_disk(mu, disk, tol) / disk.mass(alpha)
 
 
 # ------------------------------------------------------- Berezin transform
@@ -99,9 +90,7 @@ def berezin(mu, z, alpha=0.0, tol=1e-8):
 
     if mu.kind == "mobius":
         h = mobius_density(mu)
-        from .halfplane import integrate
         return integrate(lambda w: f(w) * h(w), 0.0, None, tol=tol)
-    from .halfplane import integrate
     weight = mu.weight
     support = mu.support
     g = f if weight is None else (lambda w: f(w) * weight(w))
@@ -374,7 +363,6 @@ def _space_norm(F, phi1, alpha, tol=1e-6):
 
 def _build_family(spec, alpha, seed):
     from . import lattice as _lattice
-    from .orlicz import LatticeSequence
     cfg = dict(FAMILY_DEFAULTS)
     cfg.update(spec or {})
     members = []
@@ -385,15 +373,8 @@ def _build_family(spec, alpha, seed):
     if cfg["atoms"]:
         lat = _lattice.build(cfg["delta"], tuple(cfg["window"]))
         rng = np.random.default_rng(seed)
-        l_max, j_max = lat.window
         for _ in range(cfg["atoms"]):
-            n = int(rng.integers(2, cfg["support_size"] + 1))
-            entries = {}
-            for _ in range(n):
-                k = (int(rng.integers(-l_max, l_max + 1)),
-                     int(rng.integers(-j_max, j_max + 1)))
-                entries[k] = complex(rng.normal(), rng.normal())
-            seq = LatticeSequence(entries, lat)
+            seq = _random_sequence(lat, rng, 2, cfg["support_size"])
             members.append(("atom", None, bergman.atom_sum(seq, alpha)))
     if not members:
         raise ParameterError("embedding test family is empty")

@@ -3,6 +3,12 @@
 Points are strictly interior (y > 0). Pseudo-hyperbolic style disks are
 Euclidean disks D_s(z) = {w : |w - z| < s Im z} with 0 < s < 1, so they stay
 inside the half-plane. Integration closed forms reduce to the Beta function.
+
+This module is the only one that knows the region kinds: a Box (a Carleson
+square I x (0, |I|] is the boundary Box `CarlesonSquare` returns), a Disk, a
+StripUnion of boxes, or None for the whole half-plane.  Each region answers
+`contains`, `bbox` and its V_alpha `mass`; `_integrate_region` integrates a
+field over any of them, a disk on one polar chart.
 """
 
 import math
@@ -13,6 +19,7 @@ import numpy as np
 from .errors import DivergenceError, DomainError, ParameterError
 from .quadrature import (
     Field2D,
+    gauss_nodes,
     integrate_1d,
     integrate_box,
     integrate_box_graded,
@@ -55,29 +62,18 @@ class Disk:
     def radius(self):
         return self.s * self.center.y
 
+    @property
+    def bbox(self):
+        c, r = self.center, self.radius
+        return (c.x - r, c.x + r, c.y - r, c.y + r)
+
     def contains(self, z):
         """Vectorized membership test for complex z."""
         return np.abs(np.asarray(z) - self.center.z) < self.radius
 
-
-@dataclass(frozen=True)
-class CarlesonSquare:
-    """The square I x (0, |I|] over a boundary interval I."""
-
-    interval_center: float
-    interval_length: float
-
-    def __post_init__(self):
-        if not (self.interval_length > 0):
-            raise ParameterError("interval_length must be positive")
-
-    @property
-    def x_min(self):
-        return self.interval_center - 0.5 * self.interval_length
-
-    @property
-    def x_max(self):
-        return self.interval_center + 0.5 * self.interval_length
+    def mass(self, alpha):
+        """V_alpha measure of the disk."""
+        return disk_measure(self, alpha)
 
 
 @dataclass(frozen=True)
@@ -93,6 +89,29 @@ class Box:
         if not (self.x_min < self.x_max and 0 <= self.y_min < self.y_max):
             raise ParameterError(f"degenerate box {self}")
 
+    @property
+    def bbox(self):
+        return (self.x_min, self.x_max, self.y_min, self.y_max)
+
+    def contains(self, z):
+        """Vectorized membership test for complex z (closed box)."""
+        x, y = np.real(z), np.imag(z)
+        return ((self.x_min <= x) & (x <= self.x_max)
+                & (self.y_min <= y) & (y <= self.y_max))
+
+    def mass(self, alpha):
+        """V_alpha measure of the box, in closed form."""
+        a1 = alpha + 1
+        return (self.x_max - self.x_min) \
+            * (self.y_max ** a1 - self.y_min ** a1) / a1
+
+
+def CarlesonSquare(interval_center, interval_length):
+    """The Carleson square I x (0, |I|] over a boundary interval I, as the
+    boundary Box it is."""
+    c, length = float(interval_center), float(interval_length)
+    return Box(c - 0.5 * length, c + 0.5 * length, 0.0, length)
+
 
 @dataclass(frozen=True)
 class StripUnion:
@@ -104,8 +123,22 @@ class StripUnion:
         if not self.boxes:
             raise ParameterError("strip union needs at least one box")
 
+    @property
+    def bbox(self):
+        x0, x1, y0, y1 = zip(*(b.bbox for b in self.boxes))
+        return (min(x0), max(x1), min(y0), max(y1))
 
-# Region = Box | Disk | CarlesonSquare | StripUnion | None (whole half-plane).
+    def contains(self, z):
+        return np.any([b.contains(z) for b in self.boxes], axis=0)
+
+    def mass(self, alpha):
+        return sum(b.mass(alpha) for b in self.boxes)
+
+
+# Region = Box | Disk | StripUnion | None (whole half-plane); a Carleson
+# square is a Box with y_min = 0.  Each answers contains(z), bbox and
+# mass(alpha), and `_integrate_region` is the one place that branches on
+# the kind.
 
 
 def beta(m, n):
@@ -141,24 +174,17 @@ def halfline_power_integral(t, a, b):
     return beta(1 + a, b - a - 1) * t ** (1 + a - b)
 
 
-def _weighted_field(f, alpha):
+def _weighted(f, alpha):
     def fn(X, Y):
         return np.asarray(f(X + 1j * Y)) * Y ** alpha
 
-    return Field2D(fn)
+    return fn
 
 
 def integrate_disk(f, alpha, disk, tol=1e-8):
     """Integral of f(z) y^alpha over a disk, in polar coordinates."""
-    cx, cy, r = disk.center.x, disk.center.y, disk.radius
-
-    def fn(R, T):
-        X = cx + R * np.cos(T)
-        Y = cy + R * np.sin(T)
-        return np.asarray(f(X + 1j * Y)) * Y ** alpha * R
-
-    value, _, _ = integrate_box(Field2D(fn), (0.0, r, 0.0, 2 * math.pi), tol=tol)
-    return value
+    return _integrate_region(_chart_field(_weighted(f, alpha), disk), disk,
+                             tol)
 
 
 def integrate(f, alpha, region=None, tol=1e-8):
@@ -170,7 +196,7 @@ def integrate(f, alpha, region=None, tol=1e-8):
         Accepts a complex ndarray, returns values of the same shape.
     alpha : float
         Weight exponent, alpha > -1.
-    region : Box | Disk | CarlesonSquare | StripUnion | None
+    region : Box | Disk | StripUnion | None
         None integrates over the whole half-plane with automatic truncation
         driven by the integrand's decay (doubling shells).
     tol : float
@@ -185,32 +211,59 @@ def integrate(f, alpha, region=None, tol=1e-8):
     """
     if not (alpha > -1):
         raise ParameterError(f"weight exponent must exceed -1, got alpha={alpha}")
+    return _integrate_region(_chart_field(_weighted(f, alpha), region),
+                             region, tol)
+
+
+def _chart_field(fn, region):
+    """fn(x, y) as a Field2D on the chart `_integrate_region` integrates
+    `region` in: polar (R, T) in (0, r) x (0, 2 pi) about a Disk's centre,
+    x and y for every other region."""
+    if not isinstance(region, Disk):
+        return Field2D(fn)
+    cx, cy = region.center.x, region.center.y
+    return Field2D(lambda R, T: fn(cx + R * np.cos(T), cy + R * np.sin(T)))
+
+
+def _seed_panel(region):
+    """The panel, in `_chart_field` coordinates, on which a modular's
+    bisection seed samples |f|: the whole disk for a Disk, (-0.5, 0.5) x
+    (0.5, 1.5) for every other region."""
     if isinstance(region, Disk):
-        return integrate_disk(f, alpha, region, tol=tol)
-    return _integrate_region(_weighted_field(f, alpha), region, tol)
+        return (0.0, region.radius, 0.0, 2 * math.pi)
+    return (-0.5, 0.5, 0.5, 1.5)
+
+
+class _PolarArea:
+    """Values of a polar chart field times the area element R."""
+
+    def __init__(self, field):
+        self.field = field
+
+    def values(self, rect, order):
+        t, _ = gauss_nodes(order)
+        R = 0.5 * (rect[0] + rect[1]) + 0.5 * (rect[1] - rect[0]) * t
+        return self.field.values(rect, order) * R[:, None]
 
 
 def _integrate_region(field, region, tol):
-    """Integral of a Field2D over any region but a Disk, whose polar field
-    each caller builds itself.
+    """Integral over a region of a field on its `_chart_field` chart.
 
-    Boxes on the boundary and Carleson squares grade toward y = 0; a strip
-    union sums the same field over its boxes.
+    A disk integrates its polar chart times R; boxes on the boundary grade
+    toward y = 0; a strip union sums the same field over its boxes.
     """
     if region is None:
         value, _, _ = integrate_halfplane(field, tol=tol)
+    elif isinstance(region, Disk):
+        value, _, _ = integrate_box(
+            _PolarArea(field), (0.0, region.radius, 0.0, 2 * math.pi), tol=tol)
     elif isinstance(region, StripUnion):
         value = sum(_integrate_region(field, box, tol) for box in region.boxes)
-    elif isinstance(region, CarlesonSquare):
-        value, _, _ = integrate_box_graded(
-            field, region.x_min, region.x_max, region.interval_length, tol=tol)
     elif isinstance(region, Box) and region.y_min == 0:
         value, _, _ = integrate_box_graded(
             field, region.x_min, region.x_max, region.y_max, tol=tol)
     elif isinstance(region, Box):
-        value, _, _ = integrate_box(
-            field, (region.x_min, region.x_max, region.y_min, region.y_max),
-            tol=tol)
+        value, _, _ = integrate_box(field, region.bbox, tol=tol)
     else:
         raise ParameterError(f"unknown region {region!r}")
     return value
@@ -243,8 +296,8 @@ def region_from_json(obj):
     """Parse the region wire format.
 
     Accepts {"box": [x0, x1, y0, y1]}, {"carleson": {"center": c,
-    "length": L}}, {"disk": {"cx": x, "cy": y, "s": s}}, or "auto"
-    (None) for the automatic whole-plane truncation.
+    "length": L}} (read as its boundary Box), {"disk": {"cx": x, "cy": y,
+    "s": s}}, or "auto" (None) for the automatic whole-plane truncation.
     """
     if obj is None or obj == "auto":
         return None
@@ -263,15 +316,12 @@ def region_from_json(obj):
 
 
 def region_to_json(region):
-    """Inverse of `region_from_json`."""
+    """Inverse of `region_from_json`; a Carleson square writes as its box."""
     if region is None:
         return "auto"
     if isinstance(region, Box):
         return {"box": [region.x_min, region.x_max,
                         region.y_min, region.y_max]}
-    if isinstance(region, CarlesonSquare):
-        return {"carleson": {"center": region.interval_center,
-                             "length": region.interval_length}}
     if isinstance(region, Disk):
         return {"disk": {"cx": region.center.x, "cy": region.center.y,
                          "s": region.s}}

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ParameterError
-from .halfplane import Box, CarlesonSquare, Disk, HPoint, StripUnion
+from .halfplane import Box, HPoint
 
 # apertures above this are fine for covering and decomposition work
 # but too coarse for the two-sided sampling inequality
@@ -185,40 +185,14 @@ class CoverageReport:
     seed: int
 
 
-def _region_bbox_mask(lat, region):
-    """Bounding box plus membership predicate for a sampling region."""
-    if region is None or region == "auto":
-        l_max, j_max = lat.window
-        d2 = lat.delta * lat.delta
-        top = 2.0 ** (lat.gamma * j_max)
-        bot = 2.0 ** (-lat.gamma * j_max)
-        xw = d2 / 4.0 * (1 + l_max / 2.0) * top
-        bbox = (-xw, xw, (1 - d2 / 4) * bot, (1 + d2 / 4) * top)
-        return bbox, lambda x, y: np.ones_like(x, dtype=bool)
-    if isinstance(region, Box):
-        bbox = (region.x_min, region.x_max, region.y_min, region.y_max)
-        return bbox, lambda x, y: np.ones_like(x, dtype=bool)
-    if isinstance(region, CarlesonSquare):
-        bbox = (region.x_min, region.x_max, 0.0, region.interval_length)
-        return bbox, lambda x, y: np.ones_like(x, dtype=bool)
-    if isinstance(region, Disk):
-        c, r = region.center, region.radius
-        bbox = (c.x - r, c.x + r, c.y - r, c.y + r)
-        return bbox, lambda x, y: region.contains(x + 1j * y)
-    if isinstance(region, StripUnion):
-        xs = [b.x_min for b in region.boxes] + [b.x_max for b in region.boxes]
-        ys = [b.y_min for b in region.boxes] + [b.y_max for b in region.boxes]
-        bbox = (min(xs), max(xs), min(ys), max(ys))
-
-        def mask(x, y):
-            m = np.zeros_like(x, dtype=bool)
-            for b in region.boxes:
-                m |= ((b.x_min <= x) & (x <= b.x_max)
-                      & (b.y_min <= y) & (y <= b.y_max))
-            return m
-
-        return bbox, mask
-    raise ParameterError(f"unsupported region type {type(region).__name__}")
+def _zone_box(lat):
+    """Bounding box of the zone the window's cells tile."""
+    l_max, j_max = lat.window
+    d2 = lat.delta * lat.delta
+    top = 2.0 ** (lat.gamma * j_max)
+    bot = 2.0 ** (-lat.gamma * j_max)
+    xw = d2 / 4.0 * (1 + l_max / 2.0) * top
+    return Box(-xw, xw, (1 - d2 / 4) * bot, (1 + d2 / 4) * top)
 
 
 def _sample_zone(lat, region, n, rng):
@@ -229,7 +203,9 @@ def _sample_zone(lat, region, n, rng):
     by the reciprocal of how many rectangles contain them, which makes
     the retained points uniform over the union.
     """
-    bbox, region_mask = _region_bbox_mask(lat, region)
+    if region is None or region == "auto":
+        region = _zone_box(lat)
+    bbox = region.bbox
     l_max, j_max = lat.window
     d2 = lat.delta * lat.delta
     half_span = d2 / 4.0 * (1 + l_max / 2.0)
@@ -256,7 +232,8 @@ def _sample_zone(lat, region, n, rng):
         mult = np.zeros(n)
         for x0, x1, y0, y1 in rects:
             mult += ((x0 <= x) & (x <= x1) & (y0 <= y) & (y <= y1))
-        keep = (rng.uniform(size=n) * mult <= 1.0) & region_mask(x, y)
+        keep = ((rng.uniform(size=n) * mult <= 1.0)
+                & region.contains(x + 1j * y))
         out_x.append(x[keep])
         out_y.append(y[keep])
         got += int(keep.sum())
@@ -381,8 +358,9 @@ def covering_report(lat, region=None, n_samples=10000, seed=0):
     Parameters
     ----------
     lat : DeltaLattice
-    region : Box, CarlesonSquare, Disk, StripUnion, or "auto"
-        Sampling region; "auto"/None takes the tiled zone's bounding box.
+    region : Box, Disk, StripUnion, or "auto"
+        Sampling region (a Carleson square is a Box); "auto"/None takes
+        the tiled zone's bounding box.
     n_samples : int
     seed : int
 

@@ -23,8 +23,7 @@ from . import quadrature as Q
 from .errors import (AccuracyError, BergmanOrliczError, DivergenceError,
                      NotInSpaceError, ParameterError)
 from .growth import inverse as _phi_inverse, power as _power
-from .halfplane import (Box, CarlesonSquare, Disk, HPoint, _integrate_region,
-                        disk_measure)
+from .halfplane import HPoint, _chart_field, _integrate_region, _seed_panel
 
 VANISH_LAMBDA = 1e-300
 MODULAR_TARGET_TOL = 1e-8
@@ -136,6 +135,19 @@ class LatticeSequence:
         return sorted(self.entries.items(), key=lambda kv: (kv[0][1], kv[0][0]))
 
 
+def _random_sequence(lat, rng, min_size, max_size):
+    """A LatticeSequence of rng.integers(min_size, max_size + 1) draws, each
+    an index in the window and a complex normal coefficient, in that rng
+    order (a repeated index keeps its last coefficient)."""
+    l_max, j_max = lat.window
+    entries = {}
+    for _ in range(int(rng.integers(min_size, max_size + 1))):
+        k = (int(rng.integers(-l_max, l_max + 1)),
+             int(rng.integers(-j_max, j_max + 1)))
+        entries[k] = complex(rng.normal(), rng.normal())
+    return LatticeSequence(entries, lat)
+
+
 @dataclass(frozen=True)
 class LuxResult:
     """Outcome of a Luxembourg-norm computation."""
@@ -186,66 +198,35 @@ class _ModularEngine:
             wfun, alpha = mobius_density(mu), 0.0
         else:
             wfun, alpha = mu.weight, mu.alpha_base
-        if isinstance(support, Disk):
-            cx, cy, r = support.center.x, support.center.y, support.radius
 
-            def absf_p(th, rho):
-                z = (cx + rho * np.cos(th)) + 1j * (cy + rho * np.sin(th))
-                return np.abs(f(z))
+        def wt(x, y):
+            w = y ** alpha if alpha != 0.0 else np.ones_like(y)
+            if wfun is not None:
+                w = w * wfun(x + 1j * y)
+            return w
 
-            def wt_p(th, rho):
-                y = cy + rho * np.sin(th)
-                w = rho * y ** alpha
-                if wfun is not None:
-                    w = w * wfun((cx + rho * np.cos(th)) + 1j * y)
-                return w
-
-            self.absf = Q.Field2D(absf_p)
-            self.wt = Q.Field2D(wt_p)
-        else:
-            self.absf = Q.Field2D(lambda x, y: np.abs(f(x + 1j * y)))
-
-            def wt_c(x, y):
-                w = y ** alpha if alpha != 0.0 else np.ones_like(y)
-                if wfun is not None:
-                    w = w * wfun(x + 1j * y)
-                return w
-
-            self.wt = Q.Field2D(wt_c)
+        self.absf = _chart_field(lambda x, y: np.abs(f(x + 1j * y)), support)
+        self.wt = _chart_field(wt, support)
 
     def modular_at(self, phi, lam):
         if self.mu.kind == "atomic":
             return _discrete_modular(self.fvals, self.masses, phi, lam)
         combo = _ComboField(self.absf, self.wt, phi, lam)
-        support = self.mu.support
-        if isinstance(support, Disk):
-            v, _, _ = Q.integrate_box(
-                combo, (-np.pi, np.pi, 0.0, support.radius), self.tol)
-        else:
-            v = _integrate_region(combo, support, self.tol)
-        return float(v)
+        return float(_integrate_region(combo, self.mu.support, self.tol))
 
     def start(self, phi):
-        """Bisection seed typ / Phi^-1(1/mass) from a rough total mass and
-        a typical value of |f|; 1.0 when either estimate fails."""
+        """Bisection seed typ / Phi^-1(1/mass) from the support's V_alpha
+        mass (1.0 for the whole plane) and a typical value of |f|; 1.0 when
+        either estimate fails."""
         mu = self.mu
         if mu.kind == "atomic":
             mass = float(np.sum(self.masses))
             typ = float(np.max(self.fvals, initial=0.0))
         else:
-            s, mass = mu.support, 1.0
+            s = mu.support
             a = mu.alpha_base if mu.kind == "density" else 0.0
-            panel = (-0.5, 0.5, 0.5, 1.5)
-            if isinstance(s, Disk):
-                # the polar field's first modular panel: the disk itself
-                mass = disk_measure(s, a)
-                panel = (-np.pi, np.pi, 0.0, s.radius)
-            elif isinstance(s, (Box, CarlesonSquare)):
-                y0, y1 = (0.0, s.interval_length) \
-                    if isinstance(s, CarlesonSquare) else (s.y_min, s.y_max)
-                mass = (s.x_max - s.x_min) \
-                    * (y1 ** (a + 1) - y0 ** (a + 1)) / (a + 1)
-            typ = float(self.absf.values(panel, Q.ORDER_LOW).max())
+            mass = 1.0 if s is None else s.mass(a)
+            typ = float(self.absf.values(_seed_panel(s), Q.ORDER_LOW).max())
         if mass > 0 and typ > 0:
             try:
                 y = _phi_inverse(phi, 1.0 / mass)

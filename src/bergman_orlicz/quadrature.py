@@ -23,6 +23,7 @@ ORDER_LOW = 8
 ABS_FLOOR = 1e-300
 MAX_PANELS_1D = 2000
 MAX_PANELS_2D = 6000
+EMPTY_PIECES = 60
 
 _nodes_cache = {}
 
@@ -106,22 +107,30 @@ def _sum_tail(pieces, tol, rule, what, base=(0.0, 0.0, 0.0)):
     Stops at the first piece whose mass (abs_value) is at most
     tol * max(summed masses, ABS_FLOOR) / 8.  rule = (limit, run, warmup):
     `run` successive pieces, each holding at least `limit` times the mass of
-    the one before, raise DivergenceError once past piece `warmup`.  Running
-    out of pieces raises AccuracyError.
+    the one before, raise DivergenceError once past piece `warmup`.  While
+    the summed mass, base included, is 0, pieces neither stop the sum nor
+    count; EMPTY_PIECES of them make the total 0.  Running out of pieces
+    raises AccuracyError.
     """
     limit, run, warmup = rule
     total, total_abs, err = base
-    prev, flat = 0.0, 0
-    for k, (v, a, e) in enumerate(pieces):
+    prev, flat, k, empty = 0.0, 0, 0, 0
+    for v, a, e in pieces:
         total += v
         total_abs += a
         err += e
+        if total_abs == 0:
+            empty += 1
+            if empty >= EMPTY_PIECES:
+                return total, total_abs, err
+            continue
         flat = flat + 1 if prev > 0 and a >= limit * prev else 0
         if flat >= run and k > warmup:
             raise DivergenceError(f"{what} does not decay (piece {k})")
         if a <= tol * max(total_abs, ABS_FLOOR) / 8.0:
             return total, total_abs, err
         prev = a
+        k += 1
     raise AccuracyError(f"{what}: pieces exhausted without decay")
 
 
@@ -246,23 +255,16 @@ def integrate_box_graded(field, x0, x1, y_top, tol=1e-8):
 def integrate_halfplane(field, tol=1e-8):
     """Integral over the upper half-plane: the graded base [-1, 1] x (0, 1],
     then shells of two graded side slabs and a top slab doubling the box.
-
-    Shells without mass are skipped until some mass is seen, so mass far
-    from the origin is found; a field with none integrates to 0.
     """
     base = integrate_box_graded(field, -1.0, 1.0, 1.0, tol=tol)
 
     def shells():
-        X, seen = 1.0, base[1] > 0
+        X = 1.0
         for _ in range(60):
             lv, la, le = integrate_box_graded(field, -2 * X, -X, 2 * X, tol=tol)
             rv, ra, re_ = integrate_box_graded(field, X, 2 * X, 2 * X, tol=tol)
             tv, ta, te = integrate_box(field, (-X, X, X, 2 * X), tol=tol)
-            seen = seen or la + ra + ta > 0
-            if seen:
-                yield lv + rv + tv, la + ra + ta, le + re_ + te
+            yield lv + rv + tv, la + ra + ta, le + re_ + te
             X *= 2
-        if not seen:
-            yield 0.0, 0.0, 0.0
 
     return _sum_tail(shells(), tol, (0.95, 6, 0), "half-plane tail", base)

@@ -15,7 +15,7 @@ from bergman_orlicz import carleson as C
 from bergman_orlicz import growth as G
 from bergman_orlicz import lattice as L
 from bergman_orlicz.errors import ParameterError
-from bergman_orlicz.halfplane import Box, HPoint
+from bergman_orlicz.halfplane import Box, CarlesonSquare, HPoint, StripUnion
 from bergman_orlicz.orlicz import (
     LatticeSequence,
     atomic_measure,
@@ -69,6 +69,24 @@ def test_average_of_dilation_pullback():
     for z in (HPoint(0.0, 1.0), HPoint(-1.5, 0.4)):
         val = C.average(mu, z, 0.5)
         assert abs(val - 0.25) < 1e-6
+
+
+@pytest.mark.parametrize("support", [
+    CarlesonSquare(0.5, 1.0),
+    StripUnion((Box(0.0, 1.0, 0.0, 1.0), Box(2.0, 3.0, 0.5, 1.0)))])
+def test_average_over_square_and_strip_supports(support):
+    mu = valpha_measure(0.0, support)
+    assert abs(C.average(mu, HPoint(0.5, 0.5), 0.3) - 1.0) < 1e-8
+    assert C.average(mu, HPoint(1.5, 0.5), 0.3) == 0.0
+    # the edge x = 1 halves a disk centred on it
+    assert abs(C.average(mu, HPoint(1.0, 0.5), 0.3) - 0.5) < 1e-8
+
+
+def test_berezin_fn_carleson_square_is_the_box():
+    zs = np.array([0.5 + 0.5j, 2.0 + 0.1j, -1.0 + 3.0j])
+    square = C.berezin_fn(valpha_measure(-0.3, CarlesonSquare(0.5, 1.0)))(zs)
+    box = C.berezin_fn(valpha_measure(-0.3, Box(0.0, 1.0, 0.0, 1.0)))(zs)
+    assert [v.hex() for v in square] == [v.hex() for v in box]
 
 
 def test_average_disk_ratio_out_of_range_rejected():

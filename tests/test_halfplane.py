@@ -114,6 +114,52 @@ def test_integrate_mass_far_from_origin():
     assert abs(H.integrate(f, 0.0) - np.pi) < 1e-8
 
 
+def test_integrate_carleson_mass_below_empty_strips():
+    f = lambda z: np.exp(-1e4 * np.imag(z))
+    v = H.integrate(f, 0.0, H.CarlesonSquare(0.5, 1.0))
+    assert abs(v - 1e-4) < 1e-8 * 1e-4
+
+
+def test_carleson_square_is_a_boundary_box():
+    sq = H.CarlesonSquare(0.5, 2.0)
+    assert sq == H.Box(-0.5, 1.5, 0.0, 2.0)
+    assert H.region_to_json(sq) == {"box": [-0.5, 1.5, 0.0, 2.0]}
+    wire = {"carleson": {"center": 0.5, "length": 2.0}}
+    assert H.region_from_json(wire) == sq
+    with pytest.raises(ParameterError):
+        H.CarlesonSquare(0.0, 0.0)
+
+
+_STRIPS = H.StripUnion((H.Box(0.0, 1.0, 0.0, 1.0), H.Box(2.0, 3.0, 0.5, 1.0)))
+_REGIONS = {
+    "box": (H.Box(-0.5, 1.0, 0.25, 2.0),
+            lambda x, y: (-0.5 <= x) & (x <= 1.0) & (0.25 <= y) & (y <= 2.0)),
+    "boundary-box": (H.Box(0.0, 2.0, 0.0, 1.0),
+                     lambda x, y: (0.0 <= x) & (x <= 2.0) & (y <= 1.0)),
+    "carleson": (H.CarlesonSquare(0.5, 1.0),
+                 lambda x, y: (0.0 <= x) & (x <= 1.0) & (y <= 1.0)),
+    "disk": (H.Disk(H.HPoint(0.3, 1.0), 0.5),
+             lambda x, y: (x - 0.3) ** 2 + (y - 1.0) ** 2 < 0.25),
+    "strips": (_STRIPS,
+               lambda x, y: ((0.0 <= x) & (x <= 1.0) & (y <= 1.0))
+               | ((2.0 <= x) & (x <= 3.0) & (0.5 <= y) & (y <= 1.0))),
+}
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.5, -0.5])
+@pytest.mark.parametrize("name", sorted(_REGIONS))
+def test_region_contract(name, alpha):
+    region, inside = _REGIONS[name]
+    ones = lambda z: np.ones_like(np.real(z))
+    mass = region.mass(alpha)
+    assert abs(H.integrate(ones, alpha, region, tol=1e-12) - mass) < 1e-9
+    x0, x1, y0, y1 = region.bbox
+    x, y = np.meshgrid(np.linspace(x0 - 0.1, x1 + 0.1, 57),
+                       np.linspace(max(y0 - 0.1, 1e-3), y1 + 0.1, 43))
+    np.testing.assert_array_equal(region.contains(x + 1j * y), inside(x, y))
+    assert region.contains(x + 1j * y).sum() > 0
+
+
 def test_integrate_divergent_flagged():
     with pytest.raises(DivergenceError):
         H.integrate(lambda z: 1.0 / (1.0 + np.abs(z) ** 2), 0.0, None, tol=1e-8)

@@ -21,7 +21,6 @@ from hypothesis import strategies as st
 from bergman_orlicz import bergman as B
 from bergman_orlicz import lattice as L
 from bergman_orlicz import orlicz as O
-from bergman_orlicz.acceptance import _zone_bbox
 from bergman_orlicz.halfplane import Box, HPoint
 
 
@@ -308,7 +307,7 @@ def test_acceptance_lattices_recount():
     # every disk; max_overlap is the number the criterion prints
     for delta, overlap in ((0.1, 2121), (0.3, 1116), (0.5, 659)):
         lat = L.build(delta, (50, 10))
-        region = Box(*_zone_bbox(lat))
+        region = L._zone_box(lat)
         rep = L.covering_report(lat, region, n_samples=10000, seed=7)
         px, py = L._sample_zone(lat, region, 10000, np.random.default_rng(7))
         xs, ys = _centers(lat)

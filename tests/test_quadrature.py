@@ -98,6 +98,20 @@ def test_zero_field_integrates_to_zero():
     field = Q.Field2D(lambda x, y: np.zeros_like(x))
     assert Q.integrate_box_graded(field, 0.0, 1.0, 1.0) == (0.0, 0.0, 0.0)
     assert Q.integrate_halfplane(field) == (0.0, 0.0, 0.0)
+    assert Q.integrate_1d_line(np.zeros_like) == (0.0, 0.0)
+
+
+def test_line_mass_outside_first_piece():
+    # [-1, 1] and the first shells hold no mass at all
+    v, _ = Q.integrate_1d_line(lambda x: np.exp(-(x - 100.0) ** 2))
+    assert abs(v - np.sqrt(np.pi)) < 1e-9
+
+
+def test_box_graded_mass_below_empty_strips():
+    # exp(-1e4 y) underflows to 0 on the top strips
+    field = Q.Field2D(lambda x, y: np.exp(-1e4 * y))
+    v, _, _ = Q.integrate_box_graded(field, 0.0, 1.0, 1.0)
+    assert abs(v - 1e-4) < 1e-8 * 1e-4
 
 
 def test_halfplane_kernel_power():
