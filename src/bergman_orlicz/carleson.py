@@ -10,15 +10,15 @@ pullback density.
 """
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import bergman, growth
 from .errors import AccuracyError, DivergenceError, ParameterError
 from .halfplane import Box, Disk, HPoint, beta, integrate, integrate_disk
-from .orlicz import (MeasureSpec, _random_sequence, atomic_measure, luxembourg,
-                     mobius_density, mobius_measure, modular, valpha_measure)
+from .orlicz import (_random_sequence, luxembourg, mobius_measure, modular,
+                     valpha_measure)
 
 log = logging.getLogger(__name__)
 
@@ -43,14 +43,11 @@ def _as_hpoint(z):
 # ------------------------------------------------------------- averaging
 
 def _measure_of_disk(mu, disk, tol):
-    """Mass mu(D) for the supported measure variants."""
-    if mu.kind == "atomic":
+    """Mass mu(D): a sum of the atoms in D, or the density's integral."""
+    if mu.atoms:
         pts = np.array([p.z for p, _ in mu.atoms])
         ms = np.array([m for _, m in mu.atoms])
         return float(ms[disk.contains(pts)].sum())
-    if mu.kind == "mobius":
-        h = mobius_density(mu)
-        return integrate_disk(h, 0.0, disk, tol=tol)
     support = mu.support
     weight = mu.weight
 
@@ -82,20 +79,16 @@ def berezin(mu, z, alpha=0.0, tol=1e-8):
     """
     zc = _as_hpoint(z)
     m = 2.0 + alpha
-    if mu.kind == "atomic":
+    if mu.atoms:
         return float(berezin_fn(mu, alpha)(zc.z))
 
     def f(w):
         return zc.y ** m / np.abs(w - np.conj(zc.z)) ** (2.0 * m)
 
-    if mu.kind == "mobius":
-        h = mobius_density(mu)
-        return integrate(lambda w: f(w) * h(w), 0.0, None, tol=tol)
     weight = mu.weight
-    support = mu.support
     g = f if weight is None else (lambda w: f(w) * weight(w))
     try:
-        return integrate(g, mu.alpha_base, support, tol=tol)
+        return integrate(g, mu.alpha_base, mu.support, tol=tol)
     except DivergenceError as e:
         raise AccuracyError(f"transform integral diverges: {e}") from e
 
@@ -151,13 +144,14 @@ def berezin_fn(mu, alpha=0.0, tol=1e-6):
     """Vectorized z -> transform(mu)(z).
 
     Atomic measures evaluate as exact finite sums.  Pure-weight
-    densities y**tau on a box (or the whole plane) reduce the inner
-    x-integral to closed form, leaving a graded 1-D rule in y; the
-    whole-plane case is fully closed.  Anything else falls back to one
-    adaptive integral per point, which is honest but slow.
+    densities y**tau on a box reduce the inner x-integral to closed form,
+    leaving a graded 1-D rule in y.  On the whole plane the transform is
+    closed: for y**tau, and for the pullback of y**beta under a triangular
+    map, whose density is (d/a)**(beta+2) * y**beta.  Anything else falls
+    back to one adaptive integral per point, which is honest but slow.
     """
     m = 2.0 + alpha
-    if mu.kind == "atomic":
+    if mu.atoms:
         pts = np.array([p.z for p, _ in mu.atoms])
         ms = np.array([w for _, w in mu.atoms])
 
@@ -170,15 +164,18 @@ def berezin_fn(mu, alpha=0.0, tol=1e-6):
             return out.reshape(zz.shape) if zz.shape else float(out[0])
         return fn
 
-    if mu.kind == "mobius" and mu.mobius[2] == 0.0:
-        # triangular map: pullback density is (d/a)**(beta+2) * y**beta,
-        # so the transform is the closed whole-plane form, scaled
+    # closed on the whole plane: y**tau has scale 1, and the pullback of
+    # y**beta under a triangular map has density (d/a)**(beta+2) * y**beta
+    closed = None
+    if mu.mobius and mu.mobius[2] == 0.0:
         a0, _, _, d0 = mu.mobius
-        tau = mu.beta
+        closed = mu.beta, (d0 / a0) ** (mu.beta + 2.0)
+    elif mu.weight is None and mu.support is None:
+        closed = mu.alpha_base, 1.0
+    if closed:
+        tau, scale = closed
         if not (tau > -1 and 2.0 * m - 2.0 - tau > 0):
-            raise DivergenceError(
-                f"transform of the y**{tau} pullback diverges")
-        scale = (d0 / a0) ** (tau + 2.0)
+            raise DivergenceError(f"transform of the y**{tau} weight diverges")
         c0 = scale * beta(0.5, m - 0.5) * beta(1.0 + tau, 2.0 * m - 2.0 - tau)
 
         def fn(z):
@@ -186,20 +183,8 @@ def berezin_fn(mu, alpha=0.0, tol=1e-6):
             return c0 * y ** (tau - alpha) * np.ones_like(y)
         return fn
 
-    if mu.kind == "density" and mu.weight is None and \
-            (mu.support is None or isinstance(mu.support, Box)):
-        tau = mu.alpha_base
-        if mu.support is None:
-            if not (tau > -1 and 2.0 * m - 2.0 - tau > 0):
-                raise DivergenceError(
-                    f"transform of the y**{tau} weight diverges")
-            c0 = beta(0.5, m - 0.5) * beta(1.0 + tau, 2.0 * m - 2.0 - tau)
-
-            def fn(z):
-                y = np.imag(np.asarray(z, dtype=complex))
-                return c0 * y ** (tau - alpha) * np.ones_like(y)
-            return fn
-        box = mu.support
+    if mu.weight is None and isinstance(mu.support, Box):
+        tau, box = mu.alpha_base, mu.support
         ynod, ywts = _grade_nodes(box.y_min, box.y_max, tau)
         gvals = ywts * ynod ** tau
 
@@ -229,26 +214,23 @@ def phi3_of(phi1, phi2):
 
 
 def _restrict(mu, box):
-    """Measure restricted to a box; None encodes the zero measure."""
-    if mu.kind == "atomic":
-        kept = [(p, m) for p, m in mu.atoms
-                if box.x_min <= p.x <= box.x_max
-                and box.y_min <= p.y <= box.y_max]
-        return atomic_measure(kept) if kept else None
-    if mu.kind == "density":
-        if mu.support is None:
-            return MeasureSpec(kind="density", weight=mu.weight, support=box,
-                               alpha_base=mu.alpha_base)
-        if isinstance(mu.support, Box):
-            s = mu.support
-            x0, x1 = max(s.x_min, box.x_min), min(s.x_max, box.x_max)
-            y0, y1 = max(s.y_min, box.y_min), min(s.y_max, box.y_max)
-            if x0 >= x1 or y0 >= y1:
-                return None
-            return MeasureSpec(kind="density", weight=mu.weight,
-                               support=Box(x0, x1, y0, y1),
-                               alpha_base=mu.alpha_base)
-    # transform of a global measure decays; restrict the outer region only
+    """Measure restricted to a box; None encodes the zero measure.  A
+    pullback, or a density on a Disk or StripUnion, stays whole: the
+    transform of a global measure decays."""
+    if mu.atoms:
+        kept = tuple((p, m) for p, m in mu.atoms if box.contains(p.z))
+        return replace(mu, atoms=kept) if kept else None
+    if mu.mobius:
+        return mu
+    if mu.support is None:
+        return replace(mu, support=box)
+    if isinstance(mu.support, Box):
+        s = mu.support
+        x0, x1 = max(s.x_min, box.x_min), min(s.x_max, box.x_max)
+        y0, y1 = max(s.y_min, box.y_min), min(s.y_max, box.y_max)
+        if x0 >= x1 or y0 >= y1:
+            return None
+        return replace(mu, support=Box(x0, x1, y0, y1))
     return mu
 
 
@@ -424,9 +406,8 @@ def embedding_test(mu, phi1, phi2, alpha=0.0, family_spec=None, seed=0,
 
 # ------------------------------------------------------------ composition
 
-def pullback_mobius(a, b, c, d, beta_w):
-    """Measure of a set = beta-weighted volume of its Mobius preimage."""
-    return mobius_measure(a, b, c, d, beta_w)
+# measure of a set = beta-weighted volume of its Mobius preimage
+pullback_mobius = mobius_measure
 
 
 def composition_check(a, b, c, d, beta_w, phi1, phi2, alpha=0.0,

@@ -1,7 +1,9 @@
 """Modulars and Luxembourg norms over half-plane measures.
 
-A measure is atomic, a weighted density over a region, or the pullback
-of a power weight under a Mobius map fixing the half-plane.  The
+A measure is atoms or a density: finitely many point masses, or a weight
+times y**alpha over a region.  The pullback of a power weight under a
+Mobius map fixing the half-plane is a density too, with its closed
+weight over the whole plane.  The
 modular of a field f is the integral of Phi(|f|) against the measure;
 the Luxembourg norm is the infimum of scales lambda with
 modular(f/lambda) <= 1, located here by bisection on the strictly
@@ -15,7 +17,7 @@ weights on lattice points, Lebesgue measure on a line), so all three
 norms share one solve and any growth function works on each.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -35,14 +37,16 @@ VALUE_CLIP = 1e300
 
 @dataclass(frozen=True)
 class MeasureSpec:
-    """One positive measure on the upper half-plane.
+    """One positive measure on the upper half-plane: atoms or a density.
 
-    Use the module constructors (`atomic_measure`, `valpha_measure`,
-    `density_measure`, `mobius_measure`) rather than instantiating
-    directly.
+    With `atoms` it is their sum; otherwise it is `weight` (None for 1)
+    times y**alpha_base on `support` (None for the whole plane).  A Mobius
+    pullback is such a density with its closed weight; its `mobius` and
+    `beta` serve the closed transform of a triangular map and the wire
+    format.  Build one with `atomic_measure`, `valpha_measure`,
+    `density_measure` or `mobius_measure`.
     """
 
-    kind: str
     atoms: tuple = ()
     weight: object = None
     support: object = None
@@ -69,39 +73,39 @@ def atomic_measure(points_masses):
         atoms.append((p, m))
     if not atoms:
         raise ParameterError("atomic measure needs at least one atom")
-    return MeasureSpec(kind="atomic", atoms=tuple(atoms))
+    return MeasureSpec(atoms=tuple(atoms))
 
 
 def valpha_measure(alpha=0.0, support=None):
     """The weight y**alpha over a region (default: whole half-plane)."""
     if alpha <= -1.0:
         raise ParameterError(f"alpha must be > -1, got {alpha}")
-    return MeasureSpec(kind="density", support=support, alpha_base=float(alpha))
+    return MeasureSpec(support=support, alpha_base=float(alpha))
 
 
 def density_measure(weight, support=None, alpha=0.0):
     """A custom nonnegative weight times y**alpha over a region."""
-    return MeasureSpec(kind="density", weight=weight, support=support,
-                       alpha_base=float(alpha))
+    return MeasureSpec(weight=weight, support=support, alpha_base=float(alpha))
 
 
 def mobius_measure(a, b, c, d, beta):
     """Pullback of the y**beta weight under z -> (az+b)/(cz+d).
 
-    The measure of a set E is the y**beta volume of its preimage, which
-    has the closed density (Im w)**beta * |w'|**2 with
-    w(z) = (dz-b)/(-cz+a).
+    The measure of a set E is the y**beta volume of its preimage: the
+    density with the closed weight `mobius_density` over the whole plane.
     """
     a, b, c, d = (float(v) for v in (a, b, c, d))
     if a * d - b * c <= 0:
         raise ParameterError(f"need ad - bc > 0, got {a * d - b * c}")
     if beta <= -1.0:
         raise ParameterError(f"beta must be > -1, got {beta}")
-    return MeasureSpec(kind="mobius", mobius=(a, b, c, d), beta=float(beta))
+    mu = MeasureSpec(mobius=(a, b, c, d), beta=float(beta))
+    return replace(mu, weight=mobius_density(mu))
 
 
 def mobius_density(mu):
-    """The closed density of a pullback measure, as a callable of z."""
+    """The closed density (Im w)**beta * |w'|**2 of a pullback measure, with
+    w(z) = (dz-b)/(-cz+a), as a callable of z."""
     a, b, c, d = mu.mobius
     det = a * d - b * c
     beta = mu.beta
@@ -188,16 +192,12 @@ class _ModularEngine:
     def __init__(self, f, mu, tol):
         self.mu = mu
         self.tol = tol
-        if mu.kind == "atomic":
+        if mu.atoms:
             pts = np.array([p.z for p, _ in mu.atoms])
-            self.fvals = np.abs(np.asarray(f(pts), dtype=complex))
+            self.fvals = _finite_abs(np.asarray(f(pts), dtype=complex))
             self.masses = np.array([m for _, m in mu.atoms])
             return
-        support = mu.support
-        if mu.kind == "mobius":
-            wfun, alpha = mobius_density(mu), 0.0
-        else:
-            wfun, alpha = mu.weight, mu.alpha_base
+        support, wfun, alpha = mu.support, mu.weight, mu.alpha_base
 
         def wt(x, y):
             w = y ** alpha if alpha != 0.0 else np.ones_like(y)
@@ -205,11 +205,12 @@ class _ModularEngine:
                 w = w * wfun(x + 1j * y)
             return w
 
-        self.absf = _chart_field(lambda x, y: np.abs(f(x + 1j * y)), support)
+        self.absf = _chart_field(lambda x, y: _finite_abs(f(x + 1j * y)),
+                                 support)
         self.wt = _chart_field(wt, support)
 
     def modular_at(self, phi, lam):
-        if self.mu.kind == "atomic":
+        if self.mu.atoms:
             return _discrete_modular(self.fvals, self.masses, phi, lam)
         combo = _ComboField(self.absf, self.wt, phi, lam)
         return float(_integrate_region(combo, self.mu.support, self.tol))
@@ -219,13 +220,12 @@ class _ModularEngine:
         mass (1.0 for the whole plane) and a typical value of |f|; 1.0 when
         either estimate fails."""
         mu = self.mu
-        if mu.kind == "atomic":
+        if mu.atoms:
             mass = float(np.sum(self.masses))
             typ = float(np.max(self.fvals, initial=0.0))
         else:
             s = mu.support
-            a = mu.alpha_base if mu.kind == "density" else 0.0
-            mass = 1.0 if s is None else s.mass(a)
+            mass = 1.0 if s is None else s.mass(mu.alpha_base)
             typ = float(self.absf.values(_seed_panel(s), Q.ORDER_LOW).max())
         if mass > 0 and typ > 0:
             try:
@@ -235,6 +235,15 @@ class _ModularEngine:
             except (BergmanOrliczError, OverflowError, ZeroDivisionError):
                 pass
         return 1.0
+
+
+def _finite_abs(values):
+    """|values|, raising AccuracyError where one is not finite: a pole on a
+    node would otherwise clip and cancel to a silent near-zero modular."""
+    mags = np.abs(values)
+    if not np.isfinite(mags).all():
+        raise AccuracyError("field is not finite at a quadrature node or atom")
+    return mags
 
 
 def _discrete_modular(mags, weights, phi, lam):
@@ -438,7 +447,7 @@ def hardy_norm(F, phi, y_grid=None, tol=1e-8):
     for y in ys:
         def line_modular(psi, lam):
             v, _ = Q.integrate_1d_line(
-                lambda x: np.minimum(psi(np.abs(F(x + 1j * y)) / lam),
+                lambda x: np.minimum(psi(_finite_abs(F(x + 1j * y)) / lam),
                                      VALUE_CLIP), tol=tol)
             return float(v)
 
@@ -479,12 +488,12 @@ def measure_from_json(obj):
 def measure_to_json(mu):
     """Inverse of `measure_from_json`."""
     from .halfplane import region_to_json
-    if mu.kind == "atomic":
+    if mu.atoms:
         return {"atomic": [[p.x, p.y, m] for p, m in mu.atoms]}
-    if mu.kind == "density":
-        if mu.weight is not None:
-            raise ParameterError("custom density weights have no wire format")
-        return {"density": {"kind": "valpha", "alpha": mu.alpha_base,
-                            "support": region_to_json(mu.support)}}
-    a, b, c, d = mu.mobius
-    return {"mobius": {"a": a, "b": b, "c": c, "d": d, "beta": mu.beta}}
+    if mu.mobius:
+        a, b, c, d = mu.mobius
+        return {"mobius": {"a": a, "b": b, "c": c, "d": d, "beta": mu.beta}}
+    if mu.weight is not None:
+        raise ParameterError("custom density weights have no wire format")
+    return {"density": {"kind": "valpha", "alpha": mu.alpha_base,
+                        "support": region_to_json(mu.support)}}

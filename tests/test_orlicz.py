@@ -10,7 +10,8 @@ import pytest
 from bergman_orlicz import growth as G
 from bergman_orlicz import lattice as L
 from bergman_orlicz import orlicz as O
-from bergman_orlicz.errors import NotInSpaceError, ParameterError
+from bergman_orlicz import quadrature as Q
+from bergman_orlicz.errors import AccuracyError, NotInSpaceError, ParameterError
 from bergman_orlicz.halfplane import Box, CarlesonSquare, Disk, HPoint, StripUnion
 
 DIRAC_POWERLOG_LUX = 1.7470451544286443954
@@ -341,3 +342,34 @@ def test_modular_box_above_boundary():
     v = O.modular(lambda z: np.imag(z), mu, G.power(2))
     # integral of y^2 over [0,1]x[1,2] is 7/3
     assert abs(v - 7.0 / 3.0) < 1e-9
+
+
+# a pole that a quadrature node of the box hits exactly: clipped values at
+# the node used to cancel to a silent modular of 0.0 (norm 0.0 or 2.3e-124)
+POLE = lambda z: 1.0 / (z - (0.5 + 0.55j))
+POLE_BOX = O.valpha_measure(0.0, Box(0.0, 1.0, 0.2, 1.0))
+
+
+@pytest.mark.filterwarnings("ignore:divide by zero", "ignore:invalid value")
+@pytest.mark.parametrize("phi", [G.power(2), G.power_log(2, 1, 2)],
+                         ids=["t2", "power_log"])
+@pytest.mark.parametrize("solve", [O.modular, O.luxembourg],
+                         ids=["modular", "luxembourg"])
+def test_pole_on_a_node_raises(solve, phi):
+    with pytest.raises(AccuracyError):
+        solve(POLE, POLE_BOX, phi)
+
+
+@pytest.mark.filterwarnings("ignore:divide by zero", "ignore:invalid value")
+def test_pole_on_an_atom_raises():
+    mu = O.atomic_measure([(HPoint(0.5, 0.55), 1.0), (HPoint(0.0, 1.0), 1.0)])
+    with pytest.raises(AccuracyError):
+        O.luxembourg(POLE, mu, G.power_log(2, 1, 2))
+
+
+@pytest.mark.filterwarnings("ignore:divide by zero", "ignore:invalid value")
+def test_hardy_norm_pole_on_the_line_raises():
+    # a node of the line rule's first panel, [-1, 1]
+    x0 = float(Q.gauss_nodes(Q.ORDER_HIGH)[0][3])
+    with pytest.raises(AccuracyError):
+        O.hardy_norm(lambda z: 1.0 / (z - (x0 + 1j)), G.power(2), y_grid=[1.0])
