@@ -440,16 +440,17 @@ def hardy_norm(F, phi, y_grid=None, tol=1e-8):
     if y_grid is None:
         y_grid = np.logspace(-4, 1, 16)
     ys = sorted(float(y) for y in y_grid)
-    if not ys or ys[0] <= 0:
-        raise ParameterError("y_grid must contain positive heights")
+    if not ys or not all(0 < y < np.inf for y in ys):
+        raise ParameterError(f"y_grid must hold positive finite heights: {ys}")
 
+    unit = Q.Field2D(np.ones_like)
     per_line = []
     for y in ys:
+        absf = Q.Field2D(lambda x: _finite_abs(F(x + 1j * y)))
+
         def line_modular(psi, lam):
-            v, _ = Q.integrate_1d_line(
-                lambda x: np.minimum(psi(_finite_abs(F(x + 1j * y)) / lam),
-                                     VALUE_CLIP), tol=tol)
-            return float(v)
+            combo = _ComboField(absf, unit, psi, lam)
+            return float(Q.integrate_1d_line(combo, tol=tol)[0])
 
         try:
             per_line.append((y, _solve(line_modular, phi, lambda: 1.0).value))

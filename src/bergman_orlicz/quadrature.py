@@ -1,9 +1,11 @@
 """Deterministic adaptive Gauss-Legendre quadrature in one and two dimensions.
 
-All routines are single-threaded and use a worst-first panel queue with a
-sequence-number tie-break, so results are bit-stable for a fixed integrand.
-Error estimates come from comparing the panel value at the working order with
-a lower-order companion rule on the same panel.
+One panel rule and one driver serve both dimensions.  A panel is a rect of
+one or two intervals; its rule is the tensor Gauss rule of order 16, and
+the error estimate compares it with the order-8 companion on the same
+panel.  The driver, `_adapt`, refines worst-first with a sequence-number
+tie-break, so results are bit-stable for a fixed integrand; fields are
+`Field2D`s, which cache their node values per panel in either dimension.
 
 Improper integrals (the real line, boundary singularities y^a with a > -1,
 the half-plane) are cut into doubling shells or strips halving toward y = 0,
@@ -21,11 +23,11 @@ from .errors import AccuracyError, DivergenceError
 ORDER_HIGH = 16
 ORDER_LOW = 8
 ABS_FLOOR = 1e-300
-MAX_PANELS_1D = 2000
-MAX_PANELS_2D = 6000
+MAX_PANELS = {1: 2000, 2: 6000}
 EMPTY_PIECES = 60
 
 _nodes_cache = {}
+_weights_cache = {}
 
 
 def gauss_nodes(order):
@@ -36,69 +38,129 @@ def gauss_nodes(order):
     return _nodes_cache[order]
 
 
-def _panel_1d(f, a, b):
-    """Integrate f on [a, b] at both orders; return (value, abs_value, err)."""
-    mid, half = 0.5 * (a + b), 0.5 * (b - a)
-    x_hi, w_hi = gauss_nodes(ORDER_HIGH)
-    vals_hi = np.asarray(f(mid + half * x_hi))
-    hi = half * np.sum(w_hi * vals_hi)
-    hi_abs = half * np.sum(w_hi * np.abs(vals_hi))
-    x_lo, w_lo = gauss_nodes(ORDER_LOW)
-    lo = half * np.sum(w_lo * np.asarray(f(mid + half * x_lo)))
+def _tensor_weights(order, dim):
+    """Tensor Gauss-Legendre weights on [-1, 1]**dim, cached."""
+    if (order, dim) not in _weights_cache:
+        w = gauss_nodes(order)[1]
+        _weights_cache[order, dim] = w if dim == 1 else np.outer(w, w)
+    return _weights_cache[order, dim]
+
+
+class Field2D:
+    """Vectorized scalar field with per-panel node-value caching.
+
+    A panel rect is (x0, x1) for a 1-D field fn(x) or (x0, x1, y0, y1) for
+    a 2-D field fn(x, y); the values are on the tensor Gauss nodes.  The
+    cache is keyed on the exact rect and order, so repeated integrations
+    over the same panel geometry (e.g. the modular passes of one
+    Luxembourg solve) never re-evaluate the base field.  It is the one
+    cached field type of both dimensions; it keeps its 2-D name because
+    perfbench/tracer.py counts its evaluations under it.
+    """
+
+    def __init__(self, fn):
+        self.fn = fn
+        self._cache = {}
+
+    def values(self, rect, order):
+        key = (rect, order)
+        if key in self._cache:
+            return self._cache[key]
+        t, _ = gauss_nodes(order)
+        axes = [0.5 * (lo + hi) + 0.5 * (hi - lo) * t
+                for lo, hi in zip(rect[::2], rect[1::2])]
+        if len(axes) > 1:
+            axes = np.meshgrid(*axes, indexing="ij")
+        vals = np.asarray(self.fn(*axes))
+        self._cache[key] = vals
+        return vals
+
+
+def _panel(field, rect):
+    """Integrate a field on one panel at both orders of the tensor rule;
+    return (value, abs_value, err)."""
+    dim = len(rect) // 2
+    jac = 0.5 ** dim * (rect[1] - rect[0])
+    if dim == 2:
+        jac *= rect[3] - rect[2]
+    w_hi = _tensor_weights(ORDER_HIGH, dim)
+    vals = field.values(rect, ORDER_HIGH)
+    hi = jac * np.sum(w_hi * vals)
+    hi_abs = jac * np.sum(w_hi * np.abs(vals))
+    lo = jac * np.sum(_tensor_weights(ORDER_LOW, dim)
+                      * field.values(rect, ORDER_LOW))
     return hi, hi_abs, abs(hi - lo)
 
 
-def _require_number(total, err, what):
-    """Raise on a NaN value or error estimate (NaN compares False, so the
-    refinement loop stops on it as if it had converged) and on an infinite
-    value (the integrand is infinite at a node, or its sum overflowed)."""
-    if np.isnan(total) or np.isnan(err):
-        raise AccuracyError(f"{what} quadrature produced NaN")
+def _split(rect):
+    """The two halves of a rect across its longest edge (x on a tie)."""
+    k = 2 if len(rect) == 4 and rect[3] - rect[2] > rect[1] - rect[0] else 0
+    lo, hi = rect[k], rect[k + 1]
+    mid = 0.5 * (lo + hi)
+    return (rect[:k] + (lo, mid) + rect[k + 2:],
+            rect[:k] + (mid, hi) + rect[k + 2:])
+
+
+def _adapt(field, rect, tol):
+    """Worst-first adaptive integral of a field over a rect of one or two
+    intervals; return (value, abs_value, err).
+
+    The worst panel is split across its longest edge until the summed error
+    is within tol * |value|, the float noise floor 4e-16 * |field|-mass
+    (below it refinement only chases roundoff) or ABS_FLOOR.  More than
+    MAX_PANELS splits raise AccuracyError, and so does a NaN (it compares
+    False, so the loop stops on it as if converged); an infinite value
+    raises DivergenceError.
+    """
+    if any(lo == hi for lo, hi in zip(rect[::2], rect[1::2])):
+        return 0.0, 0.0, 0.0
+    dim = len(rect) // 2
+    value, aval, err = _panel(field, rect)
+    heap = [(-err, 0, rect, value, aval, err)]
+    total, total_abs, total_err, seq = value, aval, err, 0
+    while total_err > max(tol * abs(total), 4e-16 * total_abs, ABS_FLOOR) and heap:
+        if seq >= MAX_PANELS[dim]:
+            raise AccuracyError(
+                f"{dim}-D quadrature used {seq} panels without reaching tol={tol}"
+            )
+        _, _, prect, pval, paval, perr = heapq.heappop(heap)
+        seq += 1
+        dv, da, de = -pval, -paval, -perr
+        for i, srect in enumerate(_split(prect)):
+            sv, sa, se = _panel(field, srect)
+            dv += sv
+            da += sa
+            de += se
+            heapq.heappush(heap, (-se, 2 * seq + i, srect, sv, sa, se))
+        total += dv
+        total_abs += da
+        total_err += de
+    if np.isnan(total) or np.isnan(total_err):
+        raise AccuracyError(f"{dim}-D quadrature produced NaN")
     if np.isinf(total):
-        raise DivergenceError(f"{what} quadrature produced an infinite value")
+        raise DivergenceError(f"{dim}-D quadrature produced an infinite value")
+    return total, total_abs, max(total_err, 0.0)
 
 
 def integrate_1d(f, a, b, tol=1e-10):
-    """Adaptive integral of a vectorized callable on the finite interval [a, b].
+    """Adaptive integral over the finite interval [a, b].
 
     Parameters
     ----------
-    f : callable
-        Accepts a float ndarray, returns values of the same shape.
+    f : callable or field
+        A vectorized callable (float ndarray in, same shape out) or a
+        field with values(rect, order) on 1-D rects (a, b).
     a, b : float
         Endpoints, a <= b.
     tol : float
-        Relative tolerance against max(|integral|, ABS_FLOOR); more than
-        MAX_PANELS_1D refinements raise AccuracyError.
+        Relative tolerance; see `_adapt`.
 
     Returns
     -------
     (value, err_estimate)
     """
-    if a == b:
-        return 0.0, 0.0
-    value, aval, err = _panel_1d(f, a, b)
-    heap = [(-err, 0, a, b, value, aval, err)]
-    total, total_abs, total_err, seq = value, aval, err, 0
-    # the 4e-16 * |f|-mass term is the float noise floor; below it further
-    # refinement only chases roundoff
-    while total_err > max(tol * abs(total), 4e-16 * total_abs, ABS_FLOOR) and heap:
-        if seq >= MAX_PANELS_1D:
-            raise AccuracyError(
-                f"1-D quadrature used {seq} panels without reaching tol={tol}"
-            )
-        _, _, pa, pb, pval, paval, perr = heapq.heappop(heap)
-        pm = 0.5 * (pa + pb)
-        lval, la, lerr = _panel_1d(f, pa, pm)
-        rval, ra, rerr = _panel_1d(f, pm, pb)
-        total += (lval + rval) - pval
-        total_abs += (la + ra) - paval
-        total_err += (lerr + rerr) - perr
-        seq += 1
-        heapq.heappush(heap, (-lerr, 2 * seq, pa, pm, lval, la, lerr))
-        heapq.heappush(heap, (-rerr, 2 * seq + 1, pm, pb, rval, ra, rerr))
-    _require_number(total, total_err, "1-D")
-    return total, total_err
+    value, _, err = _adapt(Field2D(f) if callable(f) else f, (a, b), tol)
+    return value, err
 
 
 def _sum_tail(pieces, tol, rule, what, base=(0.0, 0.0, 0.0)):
@@ -135,7 +197,8 @@ def _sum_tail(pieces, tol, rule, what, base=(0.0, 0.0, 0.0)):
 
 
 def integrate_1d_line(f, tol=1e-10):
-    """Integral of f over the real line: [-1, 1], then shells +-[X, 2X].
+    """Integral of f, a callable or a 1-D field as for `integrate_1d`, over
+    the real line: [-1, 1], then shells +-[X, 2X].
 
     A shell is negligible against the summed |shell| values, not |integral|;
     the two agree for the nonnegative integrands that all callers pass.
@@ -155,48 +218,9 @@ def integrate_1d_line(f, tol=1e-10):
     return total, err
 
 
-class Field2D:
-    """Vectorized scalar field f(x, y) with per-panel node-value caching.
-
-    The cache is keyed on the exact panel rectangle and order, so repeated
-    integrations over the same panel geometry (e.g. the modular passes of
-    one Luxembourg solve) never re-evaluate the base field.
-    """
-
-    def __init__(self, fn):
-        self.fn = fn
-        self._cache = {}
-
-    def values(self, rect, order):
-        key = (rect, order)
-        if key in self._cache:
-            return self._cache[key]
-        x0, x1, y0, y1 = rect
-        t, _ = gauss_nodes(order)
-        xs = 0.5 * (x0 + x1) + 0.5 * (x1 - x0) * t
-        ys = 0.5 * (y0 + y1) + 0.5 * (y1 - y0) * t
-        X, Y = np.meshgrid(xs, ys, indexing="ij")
-        vals = np.asarray(self.fn(X, Y))
-        self._cache[key] = vals
-        return vals
-
-
-def _panel_2d(field, rect):
-    x0, x1, y0, y1 = rect
-    jac = 0.25 * (x1 - x0) * (y1 - y0)
-    _, w_hi = gauss_nodes(ORDER_HIGH)
-    vals = field.values(rect, ORDER_HIGH)
-    hi = jac * np.sum(w_hi[:, None] * w_hi[None, :] * vals)
-    hi_abs = jac * np.sum(w_hi[:, None] * w_hi[None, :] * np.abs(vals))
-    _, w_lo = gauss_nodes(ORDER_LOW)
-    lo = jac * np.sum(w_lo[:, None] * w_lo[None, :] * field.values(rect, ORDER_LOW))
-    return hi, hi_abs, abs(hi - lo)
-
-
 def integrate_box(field, rect, tol=1e-8):
-    """Adaptive tensor-product integral of a Field2D over a rectangle.
-
-    Splits the worst panel across its longer edge; deterministic ordering.
+    """Adaptive tensor-product integral of a Field2D over a rectangle
+    (x0, x1, y0, y1); see `_adapt`.
 
     Returns
     -------
@@ -204,40 +228,7 @@ def integrate_box(field, rect, tol=1e-8):
         abs_value integrates |field| with the same nodes (used by callers to
         measure tail mass without sign cancellation).
     """
-    x0, x1, y0, y1 = rect
-    if x0 == x1 or y0 == y1:
-        return 0.0, 0.0, 0.0
-    value, aval, err = _panel_2d(field, rect)
-    heap = [(-err, 0, rect, value, aval, err)]
-    total, total_abs, total_err, seq = value, aval, err, 0
-    while total_err > tol * max(abs(total), ABS_FLOOR) and heap:
-        if seq >= MAX_PANELS_2D:
-            raise AccuracyError(
-                f"2-D quadrature used {seq} panels without reaching tol={tol}"
-            )
-        _, _, prect, pval, paval, perr = heapq.heappop(heap)
-        px0, px1, py0, py1 = prect
-        if (px1 - px0) >= (py1 - py0):
-            pm = 0.5 * (px0 + px1)
-            sub = [(px0, pm, py0, py1), (pm, px1, py0, py1)]
-        else:
-            pm = 0.5 * (py0 + py1)
-            sub = [(px0, px1, py0, pm), (px0, px1, pm, py1)]
-        seq += 1
-        dv = -pval
-        da = -paval
-        de = -perr
-        for i, srect in enumerate(sub):
-            sv, sa, se = _panel_2d(field, srect)
-            dv += sv
-            da += sa
-            de += se
-            heapq.heappush(heap, (-se, 2 * seq + i, srect, sv, sa, se))
-        total += dv
-        total_abs += da
-        total_err += de
-    _require_number(total, total_err, "2-D")
-    return total, total_abs, max(total_err, 0.0)
+    return _adapt(field, rect, tol)
 
 
 def integrate_box_graded(field, x0, x1, y_top, tol=1e-8):

@@ -120,6 +120,13 @@ def test_integrate_carleson_mass_below_empty_strips():
     assert abs(v - 1e-4) < 1e-8 * 1e-4
 
 
+@pytest.mark.parametrize("region", [None, H.Box(-1.0, 1.0, 0.5, 1.0)])
+def test_integrate_zero_valued(region):
+    # odd in x: the value is 0, and the float noise floor stops refinement
+    f = lambda z: np.real(z) * np.exp(-np.abs(z) ** 2)
+    assert abs(H.integrate(f, 0.0, region)) <= 1e-14
+
+
 def test_carleson_square_is_a_boundary_box():
     sq = H.CarlesonSquare(0.5, 2.0)
     assert sq == H.Box(-0.5, 1.5, 0.0, 2.0)

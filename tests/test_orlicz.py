@@ -7,6 +7,7 @@ tools/oracles/integrals_oracle.py.
 import numpy as np
 import pytest
 
+from bergman_orlicz import bergman as B
 from bergman_orlicz import growth as G
 from bergman_orlicz import lattice as L
 from bergman_orlicz import orlicz as O
@@ -220,6 +221,28 @@ def test_hardy_norm_power_log_finite():
     vals = [v for _, v in per]
     for i in range(len(vals) - 1):
         assert vals[i] >= vals[i + 1] - 1e-10
+
+
+@pytest.mark.parametrize("phi", [G.power(2), G.power_log(2, 1, 2)],
+                         ids=["t2", "power_log"])
+def test_hardy_norm_evaluates_F_once_per_node(phi):
+    # each line caches |F| on its panels, so neither the second pass of the
+    # power route nor a bisection step evaluates F again
+    nodes = []
+
+    def F(z):
+        nodes.append(np.array(z).ravel())
+        return B.decay(1, 3)(z)
+
+    O.hardy_norm(F, phi)
+    points = np.concatenate(nodes)
+    assert points.size <= len(set(points.tolist()))
+
+
+@pytest.mark.parametrize("y_grid", [[float("nan"), 1.0], [1.0, float("inf")]])
+def test_hardy_norm_rejects_non_finite_heights(y_grid):
+    with pytest.raises(ParameterError):
+        O.hardy_norm(DECAY3, G.power(2), y_grid=y_grid)
 
 
 def test_hardy_norm_divergent_line():

@@ -133,3 +133,20 @@ def test_deterministic_repeat():
     field2 = Q.Field2D(lambda x, y: np.exp(-x * x - y) * (1 + np.sin(3 * x) ** 2))
     b = Q.integrate_halfplane(field2, tol=1e-8)[0]
     assert a == b
+
+
+@pytest.mark.parametrize("tol", [1e-8, 1e-12])
+def test_box_zero_integral_returns(tol):
+    # the value is 0, so tol * |value| is never met; the float noise floor
+    # 4e-16 * |field|-mass stops the refinement
+    field = Q.Field2D(lambda x, y: np.sin(x) * np.cos(y))
+    v, _, _ = Q.integrate_box(field, (0.0, 2 * np.pi, 0.0, 1.0), tol=tol)
+    assert abs(v) <= 1e-14
+
+
+def test_1d_field_and_callable_agree():
+    # integrate_1d wraps a callable into a Field2D on 1-D rects
+    f = lambda x: 1.0 / (1e-2 + x * x)
+    field = Q.Field2D(f)
+    assert Q.integrate_1d(field, -1.0, 1.0) == Q.integrate_1d(f, -1.0, 1.0)
+    assert all(len(rect) == 2 for rect, _ in field._cache)
