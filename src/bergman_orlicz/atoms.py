@@ -1,23 +1,25 @@
-"""Atomic synthesis, sampling, and desk-scale decomposition.
+"""Atomic sampling, desk-scale decomposition, and the norm equivalence.
 
-Synthesis maps a finitely supported lattice sequence mu to the kernel
-atom sum F_mu; sampling evaluates a function back on the lattice.  The
-two directions are norm-comparable, which `equivalence_experiment`
-measures empirically.  `decompose_l2` inverts synthesis at desk scale
-in the Hilbert case by regularized least squares on the atom Gram
-matrix, whose entries have a closed form through the reproducing
-identity.  The Khintchine estimator sandwiches the mixed modular of a
-random-sign double series between multiples of the coefficient l2 norm.
+Synthesis is `bergman.atom_sum`: it maps a finitely supported lattice
+sequence mu to the kernel atom sum F_mu.  Sampling evaluates a function
+back on the lattice.  Both directions use the lattice's (j, l) order and
+row weights, and they are norm-comparable, which
+`equivalence_experiment` measures empirically.  `decompose_l2` inverts
+synthesis at desk scale in the Hilbert case by regularized least squares
+on the atom Gram matrix, whose entries have a closed form through the
+reproducing identity.  The Khintchine estimator sandwiches the mixed
+modular of a random-sign double series between multiples of the
+coefficient l2 norm.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import bergman, growth
+from . import bergman, growth, lattice
 from .errors import (AccuracyError, BergmanOrliczError, ConditioningError,
                      ParameterError)
-from .orlicz import (LatticeSequence, _random_sequence, luxembourg, modular,
+from .orlicz import (LatticeSequence, _random_sequence, modular,
                      seq_luxembourg, valpha_measure)
 
 RIDGE_DEFAULT = 1e-10
@@ -28,57 +30,30 @@ KHINTCHINE_CALIBRATION_SEED = 12345
 KHINTCHINE_MARGIN = 0.10
 
 
-@dataclass(frozen=True)
-class SynthesisParams:
-    """Parameters of the synthesis operator.
-
-    The coefficient scale is pinned to 2**(alpha+2).  Sequences have
-    finite support, so synthesis is an exact finite sum.
-    """
-
-    alpha: float
-    lattice: object
-    c_alpha: float = None
-
-    def __post_init__(self):
-        if not self.alpha > -1:
-            raise ParameterError(
-                f"weight exponent must exceed -1, got {self.alpha}")
-        pinned = 2.0 ** (self.alpha + 2.0)
-        if self.c_alpha is None:
-            object.__setattr__(self, "c_alpha", pinned)
-        elif self.c_alpha != pinned:
-            raise ParameterError(
-                f"c_alpha is pinned to 2**(alpha+2) = {pinned}, "
-                f"got {self.c_alpha}")
-
-
-def synthesize(mu, params):
-    """Kernel atom sum of a sequence, as an AnalyticFn.
-
-    Exact finite sum; evaluation order is ascending (j, l).
-    """
-    if not isinstance(mu, LatticeSequence):
-        raise ParameterError("synthesize needs a LatticeSequence")
-    if mu.lattice is not params.lattice and mu.lattice != params.lattice:
-        raise ParameterError("sequence and params disagree on the lattice")
-    return bergman.atom_sum(mu, params.alpha)
+def _window(lat):
+    """The window's indices in the lattice's (j, l) order and their points."""
+    keys = lattice.row_major(lat.points)
+    return keys, np.array([lat.points[k].z for k in keys])
 
 
 def sample(F, lat):
     """Evaluate F at every lattice point of the window."""
-    keys = sorted(lat.points, key=lambda k: (k[1], k[0]))
-    zs = np.array([lat.points[k].z for k in keys])
+    keys, zs = _window(lat)
     vals = np.asarray(F(zs), dtype=complex)
     return LatticeSequence(dict(zip(keys, vals)), lat)
 
 
 def _atom_data(lat, alpha):
-    keys = sorted(lat.points, key=lambda k: (k[1], k[0]))
-    centers = np.array([lat.points[k].z for k in keys])
-    js = np.array([k[1] for k in keys], dtype=float)
-    weights = 2.0 ** (js * lat.gamma * (alpha + 2.0))
+    """Window indices, atom centres and row weights, in (j, l) order."""
+    keys, centers = _window(lat)
+    weights = lattice.row_weights([k[1] for k in keys], lat.gamma, alpha)
     return keys, centers, weights
+
+
+def _gram(centers, w, alpha):
+    c_a = bergman.ATOM_COEF_BASE ** (alpha + 2.0)
+    return (c_a * c_a / bergman.reproducing_constant(alpha)) \
+        * (w[:, None] * w[None, :]) * bergman.kernel_matrix(centers, alpha)
 
 
 def atom_gram(lat, alpha=0.0):
@@ -88,11 +63,7 @@ def atom_gram(lat, alpha=0.0):
     two kernels is a kernel value over the reproducing constant.
     """
     keys, centers, w = _atom_data(lat, alpha)
-    c_a = 2.0 ** (alpha + 2.0)
-    kmat = bergman.kernel(centers[None, :], centers[:, None], alpha)
-    g = (c_a * c_a / bergman.reproducing_constant(alpha)) \
-        * (w[:, None] * w[None, :]) * kmat.T
-    return keys, g
+    return keys, _gram(centers, w, alpha)
 
 
 RESIDUAL_TOL = 1e-4
@@ -133,9 +104,9 @@ def decompose_l2(F, lat, alpha=0.0, ridge=RIDGE_DEFAULT):
     """
     if ridge < 0:
         raise ParameterError(f"ridge must be >= 0, got {ridge}")
-    keys, g = atom_gram(lat, alpha)
-    _, centers, w = _atom_data(lat, alpha)
-    c_a = 2.0 ** (alpha + 2.0)
+    keys, centers, w = _atom_data(lat, alpha)
+    g = _gram(centers, w, alpha)
+    c_a = bergman.ATOM_COEF_BASE ** (alpha + 2.0)
     fvals = np.asarray(F(centers), dtype=complex)
     b = c_a * w * fvals / bergman.reproducing_constant(alpha)
 
@@ -176,23 +147,15 @@ def equivalence_experiment(phi, alpha, delta, trials, seed,
     if rep.indices[0] < 1.0 - 1e-6:
         raise ParameterError("growth function must have lower index >= 1")
 
-    from . import lattice as _lattice
-    lat = _lattice.build(delta, window)
-    params = SynthesisParams(alpha=alpha, lattice=lat)
+    lat = lattice.build(delta, window)
     rng = np.random.default_rng(seed)
-    is_l2 = phi.family == "power" and phi.params["p"] == 2.0 \
-        and phi.params["coef"] == 1.0
 
     ratios_synth, ratios_sample, rows = [], [], []
     for t in range(trials):
         mu = _random_sequence(lat, rng, 1, support_size)
         norm_mu = seq_luxembourg(mu, phi, alpha).value
-        f_mu = synthesize(mu, params)
-        if is_l2:
-            norm_f = float(np.sqrt(max(bergman.atom_norm_sq(
-                f_mu.params["centers"], f_mu.params["coeffs"], alpha), 0.0)))
-        else:
-            norm_f = luxembourg(f_mu, valpha_measure(alpha), phi).value
+        f_mu = bergman.atom_sum(mu, alpha)
+        norm_f = bergman.space_norm(f_mu, phi, alpha)
         norm_back = seq_luxembourg(sample(f_mu, lat), phi, alpha).value
         rs = norm_f / norm_mu
         rb = norm_back / norm_f

@@ -23,9 +23,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DivergenceError, ParameterError
+from . import lattice as _lattice
+from .errors import ParameterError
 from .growth import inverse_vec as _phi_inverse_vec
-from .halfplane import HPoint, beta as _beta, integrate as _integrate
+from .halfplane import HPoint, integrate as _integrate, plane_power_integral
 from .orlicz import LatticeSequence, luxembourg, valpha_measure
 
 _ATOM_CHUNK = 512  # atoms per block in the atom-sum evaluation
@@ -82,14 +83,18 @@ def reproducing_constant(alpha=0.0):
     return (alpha + 1.0) * 2.0 ** alpha / math.pi
 
 
+def kernel_matrix(centers, alpha=0.0):
+    """K[i, k] = K(centers[i], centers[k]), on a 1-D array of centres."""
+    return kernel(centers[None, :], centers[:, None], alpha).T
+
+
 def atom_norm_sq(centers, coeffs, alpha=0.0):
     """Squared weighted-L2 norm of sum_k coeffs[k] * K(., centers[k]).
 
     Exact through the reproducing identity: Re(c^H K c) over the
-    reproducing constant, with K[i, k] = K(centers[i], centers[k]).
+    reproducing constant, with K = `kernel_matrix`.
     """
-    kmat = kernel(centers[None, :], centers[:, None], alpha)
-    q = np.vdot(coeffs, kmat.T @ coeffs)
+    q = np.vdot(coeffs, kernel_matrix(centers, alpha) @ coeffs)
     return float(np.real(q)) / reproducing_constant(alpha)
 
 
@@ -153,17 +158,21 @@ def decay(eps, m):
 
 
 def atom_sum(seq, alpha=0.0):
-    """Kernel-atom sum of a lattice sequence as an AnalyticFn."""
+    """Kernel-atom sum of a lattice sequence as an AnalyticFn.
+
+    The atoms run in the lattice's (j, l) order, each with coefficient
+    2**(alpha+2) * mu * `lattice.row_weights`.
+    """
     _check_alpha(alpha)
     if not isinstance(seq, LatticeSequence):
         raise ParameterError("atom_sum needs a LatticeSequence")
-    gamma = seq.lattice.gamma
+    lat = seq.lattice
     items = seq.items_sorted()
-    centers = np.array([seq.lattice.point(l, j).z for (l, j), _ in items])
-    coefs = np.array([
-        ATOM_COEF_BASE ** (alpha + 2.0) * v
-        * 2.0 ** (j * gamma * (alpha + 2.0))
-        for (l, j), v in items], dtype=complex)
+    centers = np.array([lat.point(l, j).z for (l, j), _ in items])
+    vals = np.array([v for _, v in items], dtype=complex)
+    weights = _lattice.row_weights([j for (_, j), _ in items], lat.gamma,
+                                   alpha)
+    coefs = ATOM_COEF_BASE ** (alpha + 2.0) * vals * weights
     return AnalyticFn("atom_sum", {
         "seq": seq, "alpha": float(alpha), "centers": centers,
         "coeffs": coefs, "expo": alpha + 2.0})
@@ -187,12 +196,31 @@ def decay_modular_exact(eps, m, p, alpha=0.0):
     _check_alpha(alpha)
     if not eps > 0:
         raise ParameterError(f"eps must be positive, got {eps}")
-    mp_ = m * p
-    if not mp_ > alpha + 2.0:
-        raise DivergenceError(
-            f"modular diverges: need m*p > alpha + 2, got {mp_} <= {alpha + 2}")
-    return _beta(0.5, (mp_ - 1.0) / 2.0) * _beta(alpha + 1.0, mp_ - alpha - 2.0) \
-        * eps ** (-2.0 - alpha)
+    # |1 - i eps z| = eps |z + i/eps|, so the integral scales as eps^(-2-alpha)
+    return plane_power_integral(1.0, alpha, m * p) * eps ** (-2.0 - alpha)
+
+
+def space_norm(F, phi, alpha=0.0, tol=1e-8):
+    """Luxembourg norm of F in the weighted Bergman-Orlicz space.
+
+    Closed for unit-coefficient power growth: a normalized kernel through
+    `plane_power_integral`, and an atom sum of the same weight in the
+    Hilbert case through `atom_norm_sq`.  Anything else is the
+    Luxembourg norm against y**alpha dV.
+    """
+    if phi.family == "power" and phi.params["coef"] == 1.0:
+        p = phi.params["p"]
+        kind = getattr(F, "kind", None)
+        if kind == "normalized_kernel":
+            yw = F.params["w"].y
+            s = p * (2.0 + alpha) / 2.0
+            mod = yw ** s * plane_power_integral(yw, alpha, 2.0 * s)
+            return mod ** (1.0 / p)
+        if kind == "atom_sum" and p == 2.0 and \
+                float(F.params["expo"]) == alpha + 2.0:
+            q = atom_norm_sq(F.params["centers"], F.params["coeffs"], alpha)
+            return float(np.sqrt(max(q, 0.0)))
+    return luxembourg(F, valpha_measure(alpha), phi, tol=tol).value
 
 
 def project(F, z, alpha=0.0, tol=1e-6):
@@ -285,7 +313,6 @@ def sequence_from_json(obj):
     delta defaults to 0.5, the window to the smallest one containing the
     sequence, and gamma to the midpoint of its admissible interval.
     """
-    from . import lattice as _lattice
     if not isinstance(obj, dict) or "sequence" not in obj:
         raise ParameterError(f"sequence spec needs a 'sequence' key: {obj!r}")
     rows = obj["sequence"]
@@ -307,6 +334,15 @@ def sequence_from_json(obj):
     return LatticeSequence(entries, lat)
 
 
+def sequence_to_json(seq):
+    """Inverse of `sequence_from_json`: the rows [l, j, re, im] in the
+    lattice's (j, l) order, with the lattice's delta, window and gamma."""
+    lat = seq.lattice
+    rows = [[l, j, v.real, v.imag] for (l, j), v in seq.items_sorted()]
+    return {"sequence": rows, "delta": lat.delta,
+            "window": list(lat.window), "gamma": lat.gamma}
+
+
 def fn_to_json(F):
     """Inverse of `fn_from_json` for the closed-form variants."""
     p = F.params
@@ -318,10 +354,5 @@ def fn_to_json(F):
     if F.kind == "const":
         return {"const": [p["value"].real, p["value"].imag]}
     if F.kind == "atom_sum":
-        seq = p["seq"]
-        rows = [[l, j, v.real, v.imag]
-                for (l, j), v in seq.items_sorted()]
-        return {"atoms": {"sequence": rows, "delta": seq.lattice.delta,
-                          "window": list(seq.lattice.window),
-                          "alpha": p["alpha"]}}
+        return {"atoms": {**sequence_to_json(p["seq"]), "alpha": p["alpha"]}}
     raise ParameterError(f"{F.kind!r} functions have no wire format")

@@ -14,9 +14,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import bergman, growth
+from . import bergman, growth, lattice
 from .errors import AccuracyError, DivergenceError, ParameterError
-from .halfplane import Box, Disk, HPoint, beta, integrate, integrate_disk
+from .halfplane import (Box, Disk, HPoint, integrate, integrate_disk,
+                        plane_power_integral)
 from .orlicz import (_random_sequence, luxembourg, mobius_measure, modular,
                      valpha_measure)
 
@@ -174,9 +175,7 @@ def berezin_fn(mu, alpha=0.0, tol=1e-6):
         closed = mu.alpha_base, 1.0
     if closed:
         tau, scale = closed
-        if not (tau > -1 and 2.0 * m - 2.0 - tau > 0):
-            raise DivergenceError(f"transform of the y**{tau} weight diverges")
-        c0 = scale * beta(0.5, m - 0.5) * beta(1.0 + tau, 2.0 * m - 2.0 - tau)
+        c0 = scale * plane_power_integral(1.0, tau, 2.0 * m)
 
         def fn(z):
             y = np.imag(np.asarray(z, dtype=complex))
@@ -320,31 +319,7 @@ def verdict_to_json(v):
     }
 
 
-def _space_norm(F, phi1, alpha, tol=1e-6):
-    """Luxembourg norm of F in the weighted half-plane space, with
-    closed forms for the unit-coefficient power scale."""
-    if phi1.family == "power" and phi1.params["coef"] == 1.0:
-        p = phi1.params["p"]
-        kind = getattr(F, "kind", None)
-        if kind == "normalized_kernel":
-            yw = F.params["w"].y
-            s = p * (2.0 + alpha) / 2.0
-            if 2.0 * s - 2.0 - alpha <= 0:
-                raise DivergenceError("kernel power integral diverges")
-            mod = yw ** (p * (2.0 + alpha) / 2.0) * beta(0.5, s - 0.5) \
-                * beta(1.0 + alpha, 2.0 * s - 2.0 - alpha) \
-                * yw ** (2.0 + alpha - 2.0 * s)
-            return mod ** (1.0 / p)
-        if kind == "atom_sum" and p == 2.0 and \
-                float(F.params["expo"]) == alpha + 2.0:
-            q = bergman.atom_norm_sq(F.params["centers"], F.params["coeffs"],
-                                     alpha)
-            return float(np.sqrt(max(q, 0.0)))
-    return luxembourg(F, valpha_measure(alpha), phi1, tol=tol).value
-
-
 def _build_family(spec, alpha, seed):
-    from . import lattice as _lattice
     cfg = dict(FAMILY_DEFAULTS)
     cfg.update(spec or {})
     members = []
@@ -353,7 +328,7 @@ def _build_family(spec, alpha, seed):
             members.append(("kernel", y,
                             bergman.normalized_kernel_fn(1j * y, alpha)))
     if cfg["atoms"]:
-        lat = _lattice.build(cfg["delta"], tuple(cfg["window"]))
+        lat = lattice.build(cfg["delta"], tuple(cfg["window"]))
         rng = np.random.default_rng(seed)
         for _ in range(cfg["atoms"]):
             seq = _random_sequence(lat, rng, 2, cfg["support_size"])
@@ -381,7 +356,7 @@ def embedding_test(mu, phi1, phi2, alpha=0.0, family_spec=None, seed=0,
     members = _build_family(family_spec, alpha, seed)
     ratios, kernel_rows = [], []
     for tag, y, F in members:
-        denom = _space_norm(F, phi1, alpha, tol=tol)
+        denom = bergman.space_norm(F, phi1, alpha, tol=tol)
         numer = luxembourg(F, mu, phi2, tol=tol).value
         r = numer / denom
         ratios.append(r)

@@ -202,9 +202,7 @@ def _cmd_lattice(args):
             "violations": [list(v) for v in rep.violations],
             "seed": rep.seed,
         }
-    rows = [[l, j, p.x, p.y]
-            for (l, j), p in sorted(lat.points.items(),
-                                    key=lambda kv: (kv[0][1], kv[0][0]))]
+    rows = [list(r) for r in zip(*(a.tolist() for a in lat.index_arrays()))]
     return result, (("l", "j", "x", "y"), rows)
 
 
@@ -218,27 +216,19 @@ def _cmd_luxnorm(args):
 
 def _cmd_synthesize(args):
     seq = bergman.sequence_from_json(_load_doc(args.seq))
-    params = atoms.SynthesisParams(args.alpha, seq.lattice)
-    F = atoms.synthesize(seq, params)
+    F = bergman.atom_sum(seq, args.alpha)
     z = _parse_point(args.at)
     v = complex(F(complex(z.x, z.y)))
     return {"at": [z.x, z.y], "alpha": args.alpha,
             "value": [v.real, v.imag]}, None
 
 
-def _seq_rows(seq):
-    return [[l, j, v.real, v.imag] for (l, j), v in seq.items_sorted()]
-
-
 def _cmd_sample(args):
     F = bergman.fn_from_json(_load_doc(args.fn))
     lat = _lattice_from_json(_load_doc(args.lattice))
-    seq = atoms.sample(F, lat)
-    rows = _seq_rows(seq)
-    result = {"delta": lat.delta, "gamma": lat.gamma,
-              "window": list(lat.window), "count": len(rows),
-              "sequence": rows}
-    return result, (("l", "j", "re", "im"), rows)
+    doc = bergman.sequence_to_json(atoms.sample(F, lat))
+    rows = doc["sequence"]
+    return {**doc, "count": len(rows)}, (("l", "j", "re", "im"), rows)
 
 
 def _cmd_decompose(args):
@@ -246,7 +236,7 @@ def _cmd_decompose(args):
     lat = _lattice_from_json(_load_doc(args.lattice))
     seq, residual = atoms.decompose_l2(F, lat, alpha=args.alpha,
                                        ridge=args.ridge)
-    rows = _seq_rows(seq)
+    rows = bergman.sequence_to_json(seq)["sequence"]
     result = {"alpha": args.alpha, "ridge": args.ridge,
               "residual": residual, "count": len(rows), "sequence": rows}
     return result, (("l", "j", "re", "im"), rows)

@@ -174,6 +174,21 @@ def halfline_power_integral(t, a, b):
     return beta(1 + a, b - a - 1) * t ** (1 + a - b)
 
 
+def plane_power_integral(t, a, b):
+    """Closed form of int_C+ y^a |z + it|^-b dA = B(1/2, (b-1)/2)
+    B(1+a, b-a-2) t^(2+a-b): `line_power_integral` at height y + t, then
+    `halfline_power_integral` in y.  Requires t > 0; converges iff a > -1
+    and b - a > 2."""
+    if not (t > 0):
+        raise ParameterError(f"shift must be positive, got t={t}")
+    if not (a > -1 and b - 2.0 - a > 0):
+        raise DivergenceError(
+            f"plane integral of y^{a} |z + it|^-{b} diverges: "
+            f"need a > -1 and b - a > 2")
+    return beta(0.5, 0.5 * (b - 1.0)) * beta(1.0 + a, b - 2.0 - a) \
+        * t ** (2.0 + a - b)
+
+
 def _weighted(f, alpha):
     def fn(X, Y):
         return np.asarray(f(X + 1j * Y)) * Y ** alpha

@@ -15,6 +15,10 @@ the plane, the small one of relative radius ``s_delta`` is pairwise
 disjoint across the lattice.  ``covering_report`` verifies all three
 properties numerically on a sampled region.
 
+Indices run in one row-major (j, l) order, ``row_major``, and row ``j``
+carries the weight ``2**(j*gamma*(alpha+2))``, ``row_weights``, in both
+the atom sums and the sequence spaces built on the lattice.
+
 Its two geometry scans sweep rows, not pairs: disks of equal height and
 radius form a row sorted by x, and against one row only a disk's x
 neighbours can hold the smallest gap, and the disks containing a point
@@ -35,6 +39,17 @@ from .halfplane import Box, HPoint
 SAMPLING_DELTA_LIMIT = 1.0 / (1.0 + 7.0 * math.sqrt(2.0))
 
 _UNCOVERED_WITNESS_CAP = 20
+
+
+def row_major(keys):
+    """Lattice indices (l, j) in the one (j, l) order: row by row, then
+    left to right within a row."""
+    return sorted(keys, key=lambda k: (k[1], k[0]))
+
+
+def row_weights(js, gamma, alpha):
+    """Row weights 2**(j*gamma*(alpha+2)) of rows `js` (an array of j)."""
+    return 2.0 ** (np.asarray(js, dtype=float) * gamma * (alpha + 2.0))
 
 
 def gamma_interval(delta):
@@ -83,7 +98,7 @@ class DeltaLattice:
 
     def index_arrays(self):
         """All window indices and coordinates as flat arrays, row-major."""
-        keys = sorted(self.points, key=lambda k: (k[1], k[0]))
+        keys = row_major(self.points)
         ls = np.array([k[0] for k in keys], dtype=np.int64)
         js = np.array([k[1] for k in keys], dtype=np.int64)
         xs = np.array([self.points[k].x for k in keys])

@@ -10,9 +10,9 @@ modular(f/lambda) <= 1, located here by bisection on the strictly
 decreasing map lambda -> modular(f/lambda).  Power-family growth
 functions take the closed p-norm route instead.
 
-Sequence-space analogues live on lattice index sets with row weights
-2**(j*gamma*(alpha+2)); the Hardy variant takes per-horizontal-line
-norms and their supremum.  Sequences and lines are measures too (row
+Sequence-space analogues live on lattice index sets with the lattice's
+row weights 2**(j*gamma*(alpha+2)); the Hardy variant takes
+per-horizontal-line norms and their supremum.  Sequences and lines are measures too (row
 weights on lattice points, Lebesgue measure on a line), so all three
 norms share one solve and any growth function works on each.
 """
@@ -26,6 +26,7 @@ from .errors import (AccuracyError, BergmanOrliczError, DivergenceError,
                      NotInSpaceError, ParameterError)
 from .growth import inverse as _phi_inverse, power as _power
 from .halfplane import HPoint, _chart_field, _integrate_region, _seed_panel
+from .lattice import DeltaLattice, row_major, row_weights
 
 VANISH_LAMBDA = 1e-300
 MODULAR_TARGET_TOL = 1e-8
@@ -33,6 +34,7 @@ BRACKET_FLOOR = 1e-12
 PROBE_CAP = 1100
 DIVERGENT_PROBE_CAP = 24
 VALUE_CLIP = 1e300
+_INT = (int, np.integer)  # the types of a lattice index
 
 
 @dataclass(frozen=True)
@@ -123,20 +125,25 @@ class LatticeSequence:
     """Finitely supported coefficients on a lattice index window."""
 
     entries: dict = field(repr=False)
-    lattice: object = None
+    lattice: DeltaLattice
 
     def __post_init__(self):
-        if self.lattice is not None:
-            l_max, j_max = self.lattice.window
-            for (l, j) in self.entries:
-                if abs(l) > l_max or abs(j) > j_max:
-                    raise ParameterError(
-                        f"index ({l}, {j}) outside lattice window "
-                        f"{self.lattice.window}")
+        if not isinstance(self.lattice, DeltaLattice):
+            raise ParameterError(
+                f"a lattice sequence needs a DeltaLattice, got {self.lattice!r}")
+        l_max, j_max = self.lattice.window
+        for k in self.entries:
+            if not (type(k) is tuple and len(k) == 2
+                    and isinstance(k[0], _INT) and isinstance(k[1], _INT)):
+                raise ParameterError(
+                    f"lattice index must be a pair of ints (l, j), got {k!r}")
+            if abs(k[0]) > l_max or abs(k[1]) > j_max:
+                raise ParameterError(
+                    f"index {k} outside lattice window {self.lattice.window}")
 
     def items_sorted(self):
-        """Entries in deterministic (j, l) order."""
-        return sorted(self.entries.items(), key=lambda kv: (kv[0][1], kv[0][0]))
+        """Entries in the lattice's (j, l) order."""
+        return [(k, self.entries[k]) for k in row_major(self.entries)]
 
 
 def _random_sequence(lat, rng, min_size, max_size):
@@ -386,11 +393,10 @@ def luxembourg(f, mu, phi, tol=1e-8):
 
 
 def _seq_arrays(seq, alpha):
-    """Magnitudes and row weights 2**(j*gamma*(alpha+2)) in (j, l) order."""
+    """Magnitudes and row weights in the lattice's (j, l) order."""
     items = seq.items_sorted()
     mags = np.array([abs(v) for _, v in items])
-    js = np.array([k[1] for k, _ in items], dtype=float)
-    return mags, 2.0 ** (js * seq.lattice.gamma * (alpha + 2.0))
+    return mags, row_weights([k[1] for k, _ in items], seq.lattice.gamma, alpha)
 
 
 def seq_modular(seq, phi, alpha, lam=1.0):

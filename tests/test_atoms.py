@@ -1,5 +1,5 @@
-"""Tests for atomic synthesis, sampling, decomposition, and the
-Khintchine estimator."""
+"""Tests for atomic synthesis (`bergman.atom_sum`), sampling,
+decomposition, and the Khintchine estimator."""
 
 import numpy as np
 import pytest
@@ -8,78 +8,74 @@ from bergman_orlicz import atoms, bergman, growth, lattice
 from bergman_orlicz.errors import (AccuracyError, ConditioningError,
                                    ParameterError)
 from bergman_orlicz.orlicz import (LatticeSequence, luxembourg,
-                                   seq_luxembourg, valpha_measure)
+                                   seq_luxembourg, seq_modular,
+                                   valpha_measure)
 
 T2 = growth.power(2)
-
-
-def make(delta=0.5, window=(4, 2), alpha=0.0):
-    lat = lattice.build(delta, window)
-    return lat, atoms.SynthesisParams(alpha=alpha, lattice=lat)
-
-
-# ---------------------------------------------------------------- params
-
-def test_params_pin_coefficient_scale():
-    lat = lattice.build(0.5, (2, 1))
-    p = atoms.SynthesisParams(alpha=1.0, lattice=lat)
-    assert p.c_alpha == 8.0
-    with pytest.raises(ParameterError):
-        atoms.SynthesisParams(alpha=1.0, lattice=lat, c_alpha=4.0)
-    with pytest.raises(ParameterError):
-        atoms.SynthesisParams(alpha=-1.0, lattice=lat)
 
 
 # ------------------------------------------------------------- synthesize
 
 def test_synthesize_single_atom_center_value():
-    lat, params = make()
+    lat = lattice.build(0.5, (4, 2))
     mu = LatticeSequence({(0, 0): 1.0}, lat)
-    F = atoms.synthesize(mu, params)
+    F = bergman.atom_sum(mu, 0.0)
     # center of the (0,0) cell is i; kernel there is 1/4, scale is 4
     assert F(1j) == pytest.approx(1.0, abs=1e-15)
 
 
 def test_synthesize_self_values_match_sequence():
-    lat, params = make(0.4, (3, 1))
+    lat = lattice.build(0.4, (3, 1))
     rng = np.random.default_rng(5)
     entries = {(l, j): complex(rng.normal(), rng.normal())
                for l in (-2, 0, 3) for j in (-1, 1)}
     mu = LatticeSequence(entries, lat)
-    F = atoms.synthesize(mu, params)
+    F = bergman.atom_sum(mu, 0.0)
     # the diagonal normalization makes each atom hit its own center
     # with value exactly mu_{l,j}; cross terms shift the total
     one = LatticeSequence({(3, 1): entries[(3, 1)]}, lat)
-    F1 = atoms.synthesize(one, params)
+    F1 = bergman.atom_sum(one, 0.0)
     assert F1(lat.point(3, 1).z) == pytest.approx(entries[(3, 1)], rel=1e-14)
 
 
 def test_synthesize_linear():
-    lat, params = make()
+    lat = lattice.build(0.5, (4, 2))
     rng = np.random.default_rng(17)
     a = {(1, 0): 0.3 + 1j, (-2, 1): 0.5}
     b = {(1, 0): -1.0, (0, -1): 2.2j}
     keys = set(a) | set(b)
     comb = {k: a.get(k, 0) + 2.5 * b.get(k, 0) for k in keys}
-    Fa = atoms.synthesize(LatticeSequence(a, lat), params)
-    Fb = atoms.synthesize(LatticeSequence(b, lat), params)
-    Fc = atoms.synthesize(LatticeSequence(comb, lat), params)
+    Fa = bergman.atom_sum(LatticeSequence(a, lat), 0.0)
+    Fb = bergman.atom_sum(LatticeSequence(b, lat), 0.0)
+    Fc = bergman.atom_sum(LatticeSequence(comb, lat), 0.0)
     z = rng.normal(size=20) + 1j * np.abs(rng.normal(size=20)) + 0.05j
     assert np.allclose(Fc(z), Fa(z) + 2.5 * Fb(z), rtol=1e-12)
 
 
-def test_synthesize_rejects_foreign_lattice():
-    lat, params = make()
-    other = lattice.build(0.3, (4, 2))
-    mu = LatticeSequence({(0, 0): 1.0}, other)
-    with pytest.raises(ParameterError):
-        atoms.synthesize(mu, params)
+def test_synthesize_rejects_alpha_at_most_minus_one():
+    lat = lattice.build(0.5, (2, 1))
+    mu = LatticeSequence({(0, 0): 1.0}, lat)
+    for alpha in (-1.0, -1.5):
+        with pytest.raises(ParameterError):
+            bergman.atom_sum(mu, alpha)
+
+
+@pytest.mark.parametrize("delta", [0.3, 0.5])
+@pytest.mark.parametrize("alpha", [0.5, 1.5])
+def test_atom_coefficient_is_scale_times_sequence_weight(delta, alpha):
+    # synthesis and the sequence norm share one row weight, bit for bit
+    lat = lattice.build(delta, (0, 20))
+    scale = bergman.ATOM_COEF_BASE ** (alpha + 2.0)
+    for j in range(-20, 21):
+        seq = LatticeSequence({(0, j): 1.0}, lat)
+        coef = bergman.atom_sum(seq, alpha).params["coeffs"][0]
+        assert coef == scale * seq_modular(seq, growth.power(1), alpha), j
 
 
 # ----------------------------------------------------------------- sample
 
 def test_sample_kernel_center_entry():
-    lat, _ = make()
+    lat = lattice.build(0.5, (4, 2))
     K = bergman.kernel_fn(1j, 0.0)
     s = atoms.sample(K, lat)
     assert s.entries[(0, 0)] == pytest.approx(0.25, abs=1e-15)
@@ -87,7 +83,7 @@ def test_sample_kernel_center_entry():
 
 
 def test_sample_of_decay_has_finite_seq_norm():
-    lat, _ = make(0.5, (4, 2))
+    lat = lattice.build(0.5, (4, 2))
     G = bergman.decay(1.0, 4)
     s = atoms.sample(G, lat)
     r = seq_luxembourg(s, T2, 0.0)
@@ -118,11 +114,24 @@ def test_gram_diagonal_closed_form():
         assert g[i, i] == pytest.approx(expect, rel=1e-13)
 
 
+@pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0])
+def test_gram_form_is_the_synthesized_norm(alpha):
+    # the Gram of the window's atoms and the norm of their atom sum are
+    # one quadratic form
+    lat = lattice.build(0.5, (3, 1))
+    rng = np.random.default_rng(29)
+    keys, g = atoms.atom_gram(lat, alpha)
+    u = rng.normal(size=len(keys)) + 1j * rng.normal(size=len(keys))
+    F = bergman.atom_sum(LatticeSequence(dict(zip(keys, u)), lat), alpha)
+    direct = bergman.atom_norm_sq(F.params["centers"], F.params["coeffs"],
+                                  alpha)
+    assert np.real(np.vdot(u, g @ u)) == pytest.approx(direct, rel=1e-12)
+
+
 def test_gram_norm_matches_quadrature():
     lat = lattice.build(0.1, (6, 2))
-    params = atoms.SynthesisParams(alpha=0.0, lattice=lat)
     mu = LatticeSequence({(2, 1): 1.0 + 0.5j, (-3, 0): -0.7j}, lat)
-    F = atoms.synthesize(mu, params)
+    F = bergman.atom_sum(mu, 0.0)
     keys, g = atoms.atom_gram(lat, 0.0)
     vec = np.array([mu.entries.get(k, 0.0) for k in keys], dtype=complex)
     gram = np.sqrt(np.real(np.vdot(vec, g @ vec)))
@@ -134,9 +143,8 @@ def test_gram_norm_matches_quadrature():
 
 def test_decompose_exact_recovery():
     lat = lattice.build(0.5, (1, 0))
-    params = atoms.SynthesisParams(alpha=0.0, lattice=lat)
     mu = LatticeSequence({(0, 0): 1.0}, lat)
-    F = atoms.synthesize(mu, params)
+    F = bergman.atom_sum(mu, 0.0)
     rec, res = atoms.decompose_l2(F, lat, alpha=0.0, ridge=0.0)
     assert rec.entries[(0, 0)] == pytest.approx(1.0, abs=1e-6)
     assert res <= 1e-6
@@ -178,24 +186,22 @@ def test_decompose_round_trip_in_span():
     # single-row window: multi-row atom Grams are intrinsically
     # near-singular here because adjacent rows nearly coincide
     lat = lattice.build(0.95, (2, 0))
-    params = atoms.SynthesisParams(alpha=0.0, lattice=lat)
     # window-interior support
     mu = LatticeSequence({(0, 0): 1.0, (1, 0): 0.5 - 0.25j, (-1, 0): 2.0j},
                          lat)
-    F = atoms.synthesize(mu, params)
+    F = bergman.atom_sum(mu, 0.0)
     rec, res = atoms.decompose_l2(F, lat, alpha=0.0, ridge=0.0)
     assert res <= 1e-6
     z = np.array([0.3 + 0.8j, -1.0 + 2.0j, 0.05j + 0.5])
-    recon = atoms.synthesize(rec, params)
+    recon = bergman.atom_sum(rec, 0.0)
     assert np.allclose(recon(z), F(z), atol=1e-6)
 
 
 def test_two_representation_consistency():
     small = lattice.build(0.95, (1, 0))
     big = lattice.build(0.95, (2, 0))
-    p_small = atoms.SynthesisParams(alpha=0.0, lattice=small)
     mu = LatticeSequence({(0, 0): 1.0, (1, 0): -0.5j}, small)
-    F = atoms.synthesize(mu, p_small)
+    F = bergman.atom_sum(mu, 0.0)
     nu, res = atoms.decompose_l2(F, big, alpha=0.0, ridge=0.0)
     assert res <= 1e-8
     assert set(nu.entries) != set(mu.entries)

@@ -250,3 +250,19 @@ def test_fn_json_round_trip():
         B.fn_from_json({"mystery": {}})
     with pytest.raises(ParameterError):
         B.fn_to_json(B.custom_fn(lambda z: z))
+
+
+def test_atom_sum_json_keeps_gamma():
+    # a non-midpoint gamma moves every lattice point off the default rows
+    lo, hi = L.gamma_interval(0.5)
+    lat = L.build(0.5, (3, 2), lo + 0.1 * (hi - lo))
+    F = B.atom_sum(O.LatticeSequence({(0, 0): 1.0, (1, 2): 0.5j,
+                                      (-2, -1): -0.3}, lat), 0.5)
+    doc = B.fn_to_json(F)
+    assert doc["atoms"]["gamma"] == lat.gamma
+    F2 = B.fn_from_json(doc)
+    assert F2.params["seq"].lattice == lat
+    z = 0.3 + 0.7j
+    assert F2(z) == F(z)
+    seq = F.params["seq"]
+    assert B.sequence_from_json(B.sequence_to_json(seq)) == seq

@@ -54,6 +54,27 @@ def test_halfline_power_integral():
         H.halfline_power_integral(1.0, 1.0, 2.0)
 
 
+@pytest.mark.parametrize("t,a,b", [(1.0, 0.0, 4.0), (0.37, 0.5, 5.0),
+                                   (2.5, -0.3, 3.2), (1e-3, 1.5, 7.0)])
+def test_plane_power_integral_is_line_times_halfline(t, a, b):
+    v = H.plane_power_integral(t, a, b)
+    # int_R |x + i(y + t)|^-b dx = B(1/2, (b-1)/2) (y + t)^(1-b), then in y
+    split = H.line_power_integral(1.0, b) * H.halfline_power_integral(t, a, b - 1)
+    assert v == pytest.approx(split, rel=1e-14)
+
+
+def test_plane_power_integral_quadrature_and_divergence():
+    # int y^0.5 |z + 2i|^-4.5 dA against the adaptive whole-plane rule
+    v = H.plane_power_integral(2.0, 0.5, 4.5)
+    quad = H.integrate(lambda z: np.abs(z + 2j) ** -4.5, 0.5, tol=1e-10)
+    assert v == pytest.approx(quad, rel=1e-8)
+    for a, b in ((-1.0, 4.0), (0.0, 2.0), (1.0, 2.5)):
+        with pytest.raises(DivergenceError):
+            H.plane_power_integral(1.0, a, b)
+    with pytest.raises(ParameterError):
+        H.plane_power_integral(0.0, 0.0, 4.0)
+
+
 def test_disk_measure_exact_small_alpha():
     d = H.Disk(H.HPoint(0.3, 2.0), 0.25)
     r = d.radius

@@ -190,6 +190,21 @@ def test_seq_empty_and_window_check():
         O.LatticeSequence({(5, 0): 1.0}, lat)
 
 
+def test_seq_needs_a_lattice():
+    # a missing lattice fails at construction, not in the first norm
+    with pytest.raises(TypeError):
+        O.LatticeSequence({(0, 0): 1.0})
+    with pytest.raises(ParameterError):
+        O.LatticeSequence({(0, 0): 1.0}, None)
+
+
+@pytest.mark.parametrize("key", [(0.5, 0), (0, 1.0), (0,), (0, 0, 0), "00"])
+def test_seq_rejects_non_integer_index(key):
+    lat = L.build(0.5, (2, 2))
+    with pytest.raises(ParameterError):
+        O.LatticeSequence({key: 1.0}, lat)
+
+
 def test_hardy_norm_decay_frozen():
     sup, per = O.hardy_norm(DECAY3, G.power(2))
     assert abs(sup - HARDY_SUP_DECAY3) / HARDY_SUP_DECAY3 < 1e-7
