@@ -140,6 +140,8 @@ def equivalence_experiment(phi, alpha, delta, trials, seed,
     dict with keys ratios_synth, ratios_sample, rows, summary, and the
     run parameters.
     """
+    if trials <= 0:
+        raise ParameterError(f"trials must be positive, got {trials}")
     rep = growth.regularity_report(phi)
     if not rep.nabla2[0]:
         raise ParameterError(

@@ -516,16 +516,24 @@ def from_json(obj):
     if not isinstance(obj, dict) or "family" not in obj:
         raise ParameterError(f"not a growth-function spec: {obj!r}")
     fam = obj["family"]
+
+    def need(key):
+        if key not in obj:
+            raise ParameterError(
+                f"growth-function family {fam!r} needs the key {key!r}")
+        return obj[key]
+
     if fam == "power":
-        return power(float(obj["p"]), coef=float(obj.get("coef", 1.0)))
+        return power(float(need("p")), coef=float(obj.get("coef", 1.0)))
     if fam == "power_log":
-        return power_log(float(obj["p"]), float(obj["a"]), float(obj["c"]))
+        return power_log(float(need("p")), float(need("a")), float(need("c")))
     if fam == "conjugate":
-        return conjugate_of(from_json(obj["of"]))
+        return conjugate_of(from_json(need("of")))
     if fam == "composed_inverse":
-        return composed_inverse(from_json(obj["outer"]), from_json(obj["inner"]))
+        return composed_inverse(from_json(need("outer")),
+                                from_json(need("inner")))
     if fam == "power_transform":
-        return power_transform(from_json(obj["base"]), float(obj["s"]))
+        return power_transform(from_json(need("base")), float(need("s")))
     raise ParameterError(f"unknown growth-function family {fam!r}")
 
 

@@ -68,6 +68,11 @@ def test_criterion_khintchine():
 
 def test_criterion_carleson():
     _check("carleson", budget=300.0)
+    # the printed flips: a change to the transform's rule must not move them
+    detail = _results()["carleson"].detail
+    for part in ("empirical flip at tau -0.629",
+                 "membership flip at tau -0.453", "gap 0.176"):
+        assert part in detail, detail
 
 
 def test_criterion_composition():

@@ -281,6 +281,12 @@ def test_equivalence_rejects_inadmissible_growth():
         atoms.equivalence_experiment(growth.power(1), 0.0, 0.1, 5, seed=0)
 
 
+@pytest.mark.parametrize("trials", [0, -3])
+def test_equivalence_rejects_no_trials(trials):
+    with pytest.raises(ParameterError, match="trials"):
+        atoms.equivalence_experiment(T2, 0.0, 0.1, trials, seed=0)
+
+
 # ------------------------------------------------------ khintchine_check
 
 def test_sampler_orthonormal_on_shifted_grid():

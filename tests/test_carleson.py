@@ -14,7 +14,7 @@ from bergman_orlicz import bergman as B
 from bergman_orlicz import carleson as C
 from bergman_orlicz import growth as G
 from bergman_orlicz import lattice as L
-from bergman_orlicz.errors import ParameterError
+from bergman_orlicz.errors import DivergenceError, ParameterError
 from bergman_orlicz.halfplane import Box, CarlesonSquare, HPoint, StripUnion
 from bergman_orlicz.orlicz import (
     LatticeSequence,
@@ -34,6 +34,61 @@ SMALL_FAMILY = {"kernels": 6, "atoms": 3}
 # the conjugate of t |-> t**2 o t**-1 over the full plane (bisection against
 # the exact point-mass transform; the stagewise value stabilizes within 1%).
 DIRAC_MEMBER_LUX = 0.0904501568
+
+
+# Im(z)^2 int_{y0}^1 y^tau int_0^1 |x + iy - conj(z)|^-4 dx dy, as
+# (y0, tau, z, value), from mpmath at 30 digits (box_transform in
+# tools/oracles/integrals_oracle.py)
+BOX_TRANSFORMS = [
+    (2**-9, -0.8, 0.5+0.01j, 33.292106214791449),
+    (2**-9, -0.8, 0.03+0.2j, 6.1641933564985569),
+    (2**-9, -0.8, 1+0.05j, 11.067687597777799),
+    (2**-9, -0.8, -0.7+0.3j, 0.17111569106711077),
+    (2**-9, -0.8, 2.5+1j, 0.13264283275192556),
+    (2**-9, -0.8, -10+0.01j, 2.9473870789557411e-8),
+    (2**-9, -0.8, 11+0.01j, 2.9473870789557411e-8),
+    (2**-9, -0.8, 11+2j, 0.0010799456026853276),
+    (2**-9, -0.5, 0.5+0.01j, 6.8172116034719928),
+    (2**-9, -0.5, 0.03+0.2j, 1.9574376279027846),
+    (2**-9, -0.5, 1+0.05j, 2.799358192698605),
+    (2**-9, -0.5, -0.7+0.3j, 0.076760563956888101),
+    (2**-9, -0.5, 2.5+1j, 0.063918364793038824),
+    (2**-9, -0.5, -10+0.01j, 1.5784098158805955e-8),
+    (2**-9, -0.5, 11+0.01j, 1.5784098158805955e-8),
+    (2**-9, -0.5, 11+2j, 0.00057383243164750737),
+    (2**-9, -0.2, 0.5+0.01j, 1.4722339352079361),
+    (2**-9, -0.2, 0.03+0.2j, 0.73042606985631864),
+    (2**-9, -0.2, 1+0.05j, 0.78857656690882835),
+    (2**-9, -0.2, -0.7+0.3j, 0.041931666724015072),
+    (2**-9, -0.2, 2.5+1j, 0.037618719136337599),
+    (2**-9, -0.2, -10+0.01j, 1.0236005703044745e-8),
+    (2**-9, -0.2, 11+0.01j, 1.0236005703044745e-8),
+    (2**-9, -0.2, 11+2j, 0.00036963091779651155),
+    (0, -0.8, 0.5+0.01j, 240.64643808467861),
+    (0, -0.8, 0.03+0.2j, 12.809963823063216),
+    (0, -0.8, 1+0.05j, 33.198581688732421),
+    (0, -0.8, -0.7+0.3j, 0.26510400385742609),
+    (0, -0.8, 2.5+1j, 0.1978014477722371),
+    (0, -0.8, -10+0.01j, 4.1376525820783452e-8),
+    (0, -0.8, 11+0.01j, 4.1376525820783452e-8),
+    (0, -0.8, 11+2j, 0.0015230342361586388),
+    (0, -0.5, 0.5+0.01j, 18.504738176138815),
+    (0, -0.5, 0.03+0.2j, 2.3644440327228694),
+    (0, -0.5, 1+0.05j, 4.1358804424130605),
+    (0, -0.5, -0.7+0.3j, 0.082543688649036601),
+    (0, -0.5, 2.5+1j, 0.067928147748465064),
+    (0, -0.5, -10+0.01j, 1.6516792428256548e-8),
+    (0, -0.5, 11+0.01j, 1.6516792428256548e-8),
+    (0, -0.5, 11+2j, 0.00060110710974614081),
+    (0, -0.2, 0.5+0.01j, 2.530216146283151),
+    (0, -0.2, 0.03+0.2j, 0.76943961434814005),
+    (0, -0.2, 1+0.05j, 0.91548834046284911),
+    (0, -0.2, -0.7+0.3j, 0.042487743371116395),
+    (0, -0.2, 2.5+1j, 0.038004315759949308),
+    (0, -0.2, -10+0.01j, 1.0306478545194186e-8),
+    (0, -0.2, 11+0.01j, 1.0306478545194186e-8),
+    (0, -0.2, 11+2j, 0.00037225424226386666),
+]
 
 
 def dirac_at(z, mass=1.0):
@@ -150,6 +205,23 @@ def test_berezin_fn_box_weight_vs_quadrature():
         closed = C.berezin_fn(mu)(complex(z.x, z.y))
         engine = C.berezin(mu, z, tol=1e-8)
         assert abs(closed - engine) < 1e-5 * abs(engine)
+
+
+@pytest.mark.parametrize("y0", [2.0 ** -9, 0.0])
+@pytest.mark.parametrize("tau", [-0.8, -0.5, -0.2])
+def test_berezin_fn_box_matches_mpmath(y0, tau):
+    # far points cancel in the x-integral, near ones lean on the y-rule
+    rows = [(z, v) for r0, t, z, v in BOX_TRANSFORMS if (r0, t) == (y0, tau)]
+    assert len(rows) == 8
+    fn = C.berezin_fn(valpha_measure(tau, Box(0.0, 1.0, y0, 1.0)))
+    got = fn(np.array([z for z, _ in rows]))
+    ref = np.array([v for _, v in rows])
+    assert np.max(np.abs(got - ref) / ref) < 1e-9
+
+
+def test_berezin_fn_boundary_box_needs_integrable_weight():
+    with pytest.raises(DivergenceError):
+        C.berezin_fn(density_measure(None, Box(0.0, 1.0, 0.0, 1.0), -1.0))
 
 
 def test_berezin_fn_dilation_pullback_constant():

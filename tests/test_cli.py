@@ -237,6 +237,23 @@ def test_short_sequence_row_is_a_parameter_error(capsys):
     assert _error_doc(out)["kind"] == "ParameterError"
 
 
+def test_growth_spec_missing_key_exits_2(capsys):
+    code, out = _run(capsys, [
+        "atoms-experiment", "--phi",
+        '{"family":"power_log","p":2,"q":1,"r":2}', "--delta", "0.5"])
+    assert code == EXIT_VALIDATION
+    err = _error_doc(out)
+    assert err["kind"] == "ParameterError"
+    assert "'a'" in err["detail"]
+
+
+def test_atoms_experiment_zero_trials_exits_2(capsys):
+    code, out = _run(capsys, ["atoms-experiment", "--phi", PHI_T2,
+                              "--delta", "0.5", "--trials", "0"])
+    assert code == EXIT_VALIDATION
+    assert _error_doc(out)["kind"] == "ParameterError"
+
+
 def test_divergent_norm_exits_3(capsys):
     code, out = _run(capsys, [
         "luxnorm", "--phi", '{"family":"power","p":1}',

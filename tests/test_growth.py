@@ -264,6 +264,20 @@ def test_json_unknown_family():
         G.from_json({"family": "bogus"})
 
 
+@pytest.mark.parametrize("spec", [
+    {"family": "power"},
+    {"family": "power_log", "p": 2, "q": 1, "r": 2},
+    {"family": "power_log", "p": 2, "a": 1},
+    {"family": "conjugate"},
+    {"family": "composed_inverse", "outer": {"family": "power", "p": 2}},
+    {"family": "power_transform", "base": {"family": "power", "p": 2}},
+    {"family": "conjugate", "of": {"family": "power_log", "p": 2}},
+])
+def test_json_missing_key_is_a_parameter_error(spec):
+    with pytest.raises(ParameterError, match="needs the key"):
+        G.from_json(spec)
+
+
 def test_array_matches_scalar():
     phi = G.power_log(2, 1, 1)
     ts = np.array([0.2, 1.0, 5.0, 80.0])

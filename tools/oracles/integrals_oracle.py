@@ -11,6 +11,37 @@ import mpmath as mp
 
 mp.mp.dps = 30
 
+# y^tau box transform references: the unit-width box [0, 1] x [y0, 1],
+# interior (y0 = 2^-9) and boundary (y0 = 0), at points on both sides of it
+BOX_TAUS = ("-0.8", "-0.5", "-0.2")
+BOX_Y0S = {"2**-9": mp.mpf(2) ** -9, "0": mp.mpf(0)}
+BOX_POINTS = ("0.5+0.01j", "0.03+0.2j", "1+0.05j", "-0.7+0.3j", "2.5+1j",
+              "-10+0.01j", "11+0.01j", "11+2j")
+
+
+def box_transform(tau, y0, z):
+    """Im(z)^2 int_{y0}^1 y^tau int_0^1 |x + iy - conj(z)|^-4 dx dy.
+
+    The inner x-integral is the antiderivative difference at 30 digits.
+    The outer one runs in t = y^(1+tau), which takes the weight y^tau into
+    dt / (1+tau) and leaves no endpoint singularity at y0 = 0; it is split
+    at Im(z), the scale of the kernel, and geometrically toward y0.
+    """
+    x, h = mp.re(z), mp.im(z)
+    e = 1 + tau
+
+    def prim(u, c):
+        return u / (2 * c ** 2 * (u ** 2 + c ** 2)) + mp.atan(u / c) / (2 * c ** 3)
+
+    def inner(t):
+        c = t ** (1 / e) + h
+        return (prim(1 - x, c) - prim(-x, c)) / e
+
+    lo = y0 if y0 > 0 else mp.mpf(10) ** -30
+    cuts = sorted({mp.mpf(y0), h, mp.mpf(1),
+                   *(mp.exp(v) for v in mp.linspace(mp.log(lo), 0, 40))})
+    return h ** 2 * mp.quad(inner, [c ** e for c in cuts if y0 <= c <= 1])
+
 
 def main():
     print("# line integral of |x+iy|^{-a} dx, y=2, a=3 (beta closed form 1/2)")
@@ -90,6 +121,13 @@ def main():
     print("# Berezin of dirac at i evaluated at z=2i, alpha=0")
     # Im(z)^2 / |i - conj(z)|^4 at z=2i: 4 / |i+2i|^4 = 4/81
     print(f"berezin_dirac_at_2i = {mp.nstr(mp.mpf(4) / 81, 20)}")
+
+    print("# y^tau box transforms on [0,1] x [y0,1], alpha=0: (y0, tau, z, value)")
+    for y0_text, y0 in BOX_Y0S.items():
+        for tau in BOX_TAUS:
+            for z in BOX_POINTS:
+                v = box_transform(mp.mpf(tau), y0, mp.mpc(complex(z)))
+                print(f"    ({y0_text}, {tau}, {z}, {mp.nstr(v, 17)}),")
 
 
 if __name__ == "__main__":
