@@ -19,7 +19,7 @@ import numpy as np
 from .errors import DivergenceError, DomainError, ParameterError
 from .quadrature import (
     Field2D,
-    gauss_nodes,
+    _panel_nodes,
     integrate_1d,
     integrate_box,
     integrate_box_graded,
@@ -255,10 +255,8 @@ class _PolarArea:
     def __init__(self, field):
         self.field = field
 
-    def values(self, rect, order):
-        t, _ = gauss_nodes(order)
-        R = 0.5 * (rect[0] + rect[1]) + 0.5 * (rect[1] - rect[0]) * t
-        return self.field.values(rect, order) * R[:, None]
+    def values(self, rect, rule):
+        return self.field.values(rect, rule) * _panel_nodes(rect, rule)[0]
 
 
 def _integrate_region(field, region, tol):

@@ -178,12 +178,12 @@ class _ComboField:
         self._phi = phi
         self._lam = lam
 
-    def values(self, rect, order):
+    def values(self, rect, rule):
         # clip the integrand, not Phi alone: y^alpha with alpha < 0 lifts a
         # clipped Phi past the float range near y = 0.  Where the weight is
         # 0 so is the integrand, even where Phi overflowed to inf.
-        v = self._phi(self._absf.values(rect, order) / self._lam)
-        w = self._wt.values(rect, order)
+        v = self._phi(self._absf.values(rect, rule) / self._lam)
+        w = self._wt.values(rect, rule)
         if not w.all():
             v = np.where(w == 0, 0.0, v)
         return np.minimum(v * w, VALUE_CLIP)
@@ -233,7 +233,7 @@ class _ModularEngine:
         else:
             s = mu.support
             mass = 1.0 if s is None else s.mass(mu.alpha_base)
-            typ = float(self.absf.values(_seed_panel(s), Q.ORDER_LOW).max())
+            typ = float(self.absf.values(_seed_panel(s), (Q.ORDER_LOW,)).max())
         if mass > 0 and typ > 0:
             try:
                 y = _phi_inverse(phi, 1.0 / mass)

@@ -3,9 +3,13 @@
 One panel rule and one driver serve both dimensions.  A panel is a rect of
 one or two intervals; its rule is the tensor Gauss rule of order 16, and
 the error estimate compares it with the order-8 companion on the same
-panel.  The driver, `_adapt`, refines worst-first with a sequence-number
-tie-break, so results are bit-stable for a fixed integrand; fields are
-`Field2D`s, which cache their node values per panel in either dimension.
+panel.  A field is asked once per panel for both orders: `values(rect,
+RULE)` returns the order-16 tensor values and then the order-8 ones as one
+flat array, on nodes that are two affine maps of reference nodes built once
+per rule (`_rule`).  The driver, `_adapt`, refines worst-first with a
+sequence-number tie-break, so results are bit-stable for a fixed integrand;
+fields are `Field2D`s, which cache their node values per (panel, rule) in
+either dimension.
 
 Improper integrals (the real line, boundary singularities y^a with a > -1,
 the half-plane) are cut into doubling shells or strips halving toward y = 0,
@@ -25,9 +29,10 @@ ORDER_LOW = 8
 ABS_FLOOR = 1e-300
 MAX_PANELS = {1: 2000, 2: 6000}
 EMPTY_PIECES = 60
+RULE = (ORDER_HIGH, ORDER_LOW)
 
 _nodes_cache = {}
-_weights_cache = {}
+_rule_cache = {}
 
 
 def gauss_nodes(order):
@@ -38,57 +43,83 @@ def gauss_nodes(order):
     return _nodes_cache[order]
 
 
-def _tensor_weights(order, dim):
-    """Tensor Gauss-Legendre weights on [-1, 1]**dim, cached."""
-    if (order, dim) not in _weights_cache:
-        w = gauss_nodes(order)[1]
-        _weights_cache[order, dim] = w if dim == 1 else np.outer(w, w)
-    return _weights_cache[order, dim]
+def _rule(rule, dim):
+    """Flat reference nodes and weights of a rule (a tuple of Gauss orders)
+    on [-1, 1]**dim, cached; return (axes, weights).
+
+    axes holds one flat array per dimension: each order's tensor nodes with
+    the first axis slowest (node (i, j) of order n at i * n + j), the
+    orders one after another.  weights holds one flat tensor weight array
+    per order, in the same node order.
+    """
+    if (rule, dim) not in _rule_cache:
+        axes, weights = [[] for _ in range(dim)], []
+        for order in rule:
+            t, w = gauss_nodes(order)
+            if dim == 1:
+                axes[0].append(t)
+                weights.append(w)
+            else:
+                axes[0].append(np.repeat(t, order))
+                axes[1].append(np.tile(t, order))
+                weights.append(np.outer(w, w).ravel())
+        _rule_cache[rule, dim] = (tuple(np.concatenate(a) for a in axes),
+                                  tuple(weights))
+    return _rule_cache[rule, dim]
+
+
+def _panel_nodes(rect, rule):
+    """The nodes of a rule on a rect, one flat array per dimension; see
+    `_rule` for their order."""
+    axes, _ = _rule(rule, len(rect) // 2)
+    return [0.5 * (lo + hi) + 0.5 * (hi - lo) * t
+            for lo, hi, t in zip(rect[::2], rect[1::2], axes)]
 
 
 class Field2D:
     """Vectorized scalar field with per-panel node-value caching.
 
     A panel rect is (x0, x1) for a 1-D field fn(x) or (x0, x1, y0, y1) for
-    a 2-D field fn(x, y); the values are on the tensor Gauss nodes.  The
-    cache is keyed on the exact rect and order, so repeated integrations
-    over the same panel geometry (e.g. the modular passes of one
-    Luxembourg solve) never re-evaluate the base field.  It is the one
-    cached field type of both dimensions; it keeps its 2-D name because
-    perfbench/tracer.py counts its evaluations under it.
+    a 2-D field fn(x, y).  `values(rect, rule)` evaluates fn once, on the
+    flat nodes of every order of the rule (`_panel_nodes`), and returns the
+    flat values in that order.  The cache is keyed on the exact rect and
+    rule, so repeated integrations over the same panel geometry (e.g. the
+    modular passes of one Luxembourg solve) never re-evaluate the base
+    field.  It is the one cached field type of both dimensions; it keeps
+    its 2-D name because perfbench/tracer.py counts its evaluations under
+    it.  Every other field (`orlicz._ComboField`, `halfplane._PolarArea`)
+    answers the same `values(rect, rule)`.
     """
 
     def __init__(self, fn):
         self.fn = fn
         self._cache = {}
 
-    def values(self, rect, order):
-        key = (rect, order)
+    def values(self, rect, rule):
+        key = (rect, rule)
         if key in self._cache:
             return self._cache[key]
-        t, _ = gauss_nodes(order)
-        axes = [0.5 * (lo + hi) + 0.5 * (hi - lo) * t
-                for lo, hi in zip(rect[::2], rect[1::2])]
-        if len(axes) > 1:
-            axes = np.meshgrid(*axes, indexing="ij")
-        vals = np.asarray(self.fn(*axes))
+        nodes = _panel_nodes(rect, rule)
+        vals = np.asarray(self.fn(*nodes))
+        if vals.shape != nodes[0].shape:  # a constant fn gives one value
+            vals = np.broadcast_to(vals, nodes[0].shape)
         self._cache[key] = vals
         return vals
 
 
 def _panel(field, rect):
-    """Integrate a field on one panel at both orders of the tensor rule;
-    return (value, abs_value, err)."""
+    """Integrate a field on one panel at both orders of RULE from one
+    values call; return (value, abs_value, err)."""
     dim = len(rect) // 2
     jac = 0.5 ** dim * (rect[1] - rect[0])
     if dim == 2:
         jac *= rect[3] - rect[2]
-    w_hi = _tensor_weights(ORDER_HIGH, dim)
-    vals = field.values(rect, ORDER_HIGH)
-    hi = jac * np.sum(w_hi * vals)
-    hi_abs = jac * np.sum(w_hi * np.abs(vals))
-    lo = jac * np.sum(_tensor_weights(ORDER_LOW, dim)
-                      * field.values(rect, ORDER_LOW))
+    w_hi, w_lo = _rule(RULE, dim)[1]
+    vals = field.values(rect, RULE)
+    v_hi = vals[:w_hi.size]
+    hi = jac * np.sum(w_hi * v_hi)
+    hi_abs = jac * np.sum(w_hi * np.abs(v_hi))
+    lo = jac * np.sum(w_lo * vals[w_hi.size:])
     return hi, hi_abs, abs(hi - lo)
 
 
@@ -149,7 +180,9 @@ def integrate_1d(f, a, b, tol=1e-10):
     ----------
     f : callable or field
         A vectorized callable (float ndarray in, same shape out) or a
-        field with values(rect, order) on 1-D rects (a, b).
+        field with values(rect, rule) on 1-D rects (a, b), which returns
+        the flat values at every order of the rule in one call; a
+        callable is wrapped in a `Field2D`.
     a, b : float
         Endpoints, a <= b.
     tol : float

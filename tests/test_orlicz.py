@@ -57,19 +57,24 @@ def test_lux_power_fast_path():
 
 def test_lux_power_route_evaluates_each_panel_once():
     # the p-th-power pass and the modular check at the value share one
-    # engine, so no quadrature panel feeds f the same nodes twice
-    for support in (Box(0.0, 1.0, 0.5, 1.5), CarlesonSquare(0.0, 1.0)):
-        seen, calls = set(), [0]
+    # engine, so no quadrature panel feeds f the same nodes twice; each
+    # panel is one call on both orders' nodes.  One Box panel is enough,
+    # so it may take a single call; the graded square takes several.
+    n_rule = Q.ORDER_HIGH ** 2 + Q.ORDER_LOW ** 2
+    for support, min_calls in ((Box(0.0, 1.0, 0.5, 1.5), 1),
+                               (CarlesonSquare(0.0, 1.0), 2)):
+        seen, sizes = set(), []
 
         def f(z):
-            calls[0] += 1
+            sizes.append(np.size(z))
             seen.add(np.asarray(z).tobytes())
             return DECAY3(z)
 
         r = O.luxembourg(f, O.valpha_measure(0.0, support), G.power(3))
         assert r.iterations == 0
-        assert calls[0] > 1
-        assert len(seen) == calls[0]
+        assert len(sizes) >= min_calls
+        assert sizes == [n_rule] * len(sizes)
+        assert len(seen) == len(sizes)
 
 
 def test_lux_weighted_square():

@@ -3,6 +3,9 @@
 import numpy as np
 import pytest
 
+from bergman_orlicz import growth as G
+from bergman_orlicz import halfplane as H
+from bergman_orlicz import orlicz as O
 from bergman_orlicz import quadrature as Q
 from bergman_orlicz.errors import AccuracyError, DivergenceError
 
@@ -43,6 +46,7 @@ def test_line_divergence_flagged():
 
 
 def test_field_caches_panels():
+    # one fn call per (rect, rule) evaluates every order of the rule
     calls = [0]
 
     def f(x, y):
@@ -51,10 +55,28 @@ def test_field_caches_panels():
 
     field = Q.Field2D(f)
     rect = (0.0, 1.0, 0.0, 1.0)
-    field.values(rect, Q.ORDER_HIGH)
-    n = calls[0]
-    field.values(rect, Q.ORDER_HIGH)
-    assert calls[0] == n
+    vals = field.values(rect, Q.RULE)
+    assert calls[0] == 1
+    assert vals.shape == (Q.ORDER_HIGH ** 2 + Q.ORDER_LOW ** 2,)
+    assert field.values(rect, Q.RULE) is vals
+    assert calls[0] == 1
+    assert list(field._cache) == [(rect, Q.RULE)]
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_rule_nodes_are_tensor_grids_in_ij_order(dim):
+    # order 16's tensor nodes, then order 8's, each as meshgrid(ij).ravel()
+    axes, weights = Q._rule(Q.RULE, dim)
+    for k in range(dim):
+        parts = []
+        for order in Q.RULE:
+            t = Q.gauss_nodes(order)[0]
+            parts.append(np.meshgrid(*[t] * dim, indexing="ij")[k].ravel())
+        assert np.array_equal(axes[k], np.concatenate(parts))
+    for order, w in zip(Q.RULE, weights):
+        g = Q.gauss_nodes(order)[1]
+        full = g if dim == 1 else np.outer(g, g)
+        assert np.array_equal(w, full.ravel())
 
 
 def test_box_product():
@@ -144,9 +166,63 @@ def test_box_zero_integral_returns(tol):
     assert abs(v) <= 1e-14
 
 
+def test_constant_fn_integrates():
+    # a fn that returns one value for every node is broadcast over the panel
+    assert Q.integrate_1d(lambda x: 2.0, 0.0, 1.0)[0] == 2.0
+    v, _, _ = Q.integrate_box(Q.Field2D(lambda x, y: 2.0), (0.0, 1.0, 0.0, 3.0))
+    assert abs(v - 6.0) < 1e-14
+
+
 def test_1d_field_and_callable_agree():
     # integrate_1d wraps a callable into a Field2D on 1-D rects
     f = lambda x: 1.0 / (1e-2 + x * x)
     field = Q.Field2D(f)
     assert Q.integrate_1d(field, -1.0, 1.0) == Q.integrate_1d(f, -1.0, 1.0)
-    assert all(len(rect) == 2 for rect, _ in field._cache)
+    assert all(len(rect) == 2 and rule == Q.RULE
+               for rect, rule in field._cache)
+
+
+# float.hex of results frozen before the panel rule moved to one field call
+# per panel: fusing both orders into one call must not move a bit.
+def _hexes(values):
+    return [float(v).hex() for v in values]
+
+
+def test_bits_integrate_box():
+    field = Q.Field2D(lambda x, y: np.exp(x * y) / (1 + x * x))
+    assert _hexes(Q.integrate_box(field, (0.0, 2.0, 0.5, 1.5), tol=1e-10)) == [
+        "0x1.695fb9c875c3ep+1", "0x1.695fb9c875c3ep+1", "0x1.0b46000000000p-35"]
+
+
+def test_bits_integrate_box_graded():
+    field = Q.Field2D(lambda x, y: np.cos(x) / np.sqrt(y))
+    r = Q.integrate_box_graded(field, 0.0, 1.0, 1.0, tol=1e-9)
+    assert _hexes(r) == [
+        "0x1.aed548eee1f99p+0", "0x1.aed548eee1f99p+0", "0x1.c0bffffe3f400p-43"]
+
+
+def test_bits_integrate_halfplane():
+    field = Q.Field2D(lambda x, y: np.exp(-x * x - y) * (1 + np.sin(3 * x) ** 2))
+    assert _hexes(Q.integrate_halfplane(field, tol=1e-8)) == [
+        "0x1.544c115d1b15cp+1", "0x1.544c115d1b15cp+1", "0x1.4718df9093e74p-32"]
+
+
+def test_bits_integrate_1d_line():
+    r = Q.integrate_1d_line(lambda x: 1.0 / (1.0 + x * x) ** 1.5, tol=1e-10)
+    assert _hexes(r) == ["0x1.fffffffffbfffp+0", "0x1.5ecafc8f2c8d5p-35"]
+
+
+def test_bits_disk_polar_chart():
+    # a Disk integrates its polar chart times R (halfplane._PolarArea)
+    disk = H.Disk(H.HPoint(0.2, 1.0), 0.5)
+    v = H.integrate(lambda z: np.abs(z - 0.3j) ** 2, 0.5, disk)
+    assert v.hex() == "0x1.16feb50d5eb97p-1"
+    mu = O.valpha_measure(0.0, H.Disk(H.HPoint(0.0, 1.0), 0.5))
+    r = O.luxembourg(lambda z: 1.0 / np.abs(z + 1j), mu, G.power_log(2, 1, 2))
+    assert r.value.hex() == "0x1.e9783f7198970p-2"
+
+
+def test_bits_hardy_norm_line():
+    sup, _ = O.hardy_norm(lambda z: np.abs(1.0 - 1j * z) ** -3.0,
+                          G.power_log(2, 1, 2), y_grid=[0.5])
+    assert sup.hex() == "0x1.8998f64000000p-2"
