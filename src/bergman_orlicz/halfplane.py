@@ -18,7 +18,12 @@ import numpy as np
 
 from .errors import DivergenceError, DomainError, ParameterError
 from .quadrature import (
+    ORDER_HIGH,
+    ORDER_LOW,
+    RULE,
     Field2D,
+    PanelField,
+    _columns,
     _panel_nodes,
     integrate_1d,
     integrate_box,
@@ -240,16 +245,34 @@ def _chart_field(fn, region):
     return Field2D(lambda R, T: fn(cx + R * np.cos(T), cy + R * np.sin(T)))
 
 
-def _seed_panel(region):
-    """The panel, in `_chart_field` coordinates, on which a modular's
-    bisection seed samples |f|: the whole disk for a Disk, (-0.5, 0.5) x
-    (0.5, 1.5) for every other region."""
+SEED_PANEL = (-0.5, 0.5, 0.5, 1.5)
+
+
+def _disk_chart(disk):
+    """The one panel of a Disk's polar chart, (0, r) x (0, 2 pi)."""
+    return (0.0, disk.radius, 0.0, 2 * math.pi)
+
+
+def _seed_values(field, region):
+    """Values of a `_chart_field` at the order-8 nodes of the panel on which
+    a modular's bisection seed samples |f|.
+
+    For a Disk that panel is the whole chart, which is also the first
+    quadrature panel, so the values are the order-8 tail of its RULE
+    values.  Every other region samples SEED_PANEL if its bbox meets it
+    (the whole plane always does), and its own bbox otherwise.
+    """
     if isinstance(region, Disk):
-        return (0.0, region.radius, 0.0, 2 * math.pi)
-    return (-0.5, 0.5, 0.5, 1.5)
+        return field.values(_disk_chart(region), RULE)[ORDER_HIGH ** 2:]
+    panel = SEED_PANEL
+    if region is not None:
+        x0, x1, y0, y1 = region.bbox
+        if x0 > panel[1] or x1 < panel[0] or y0 > panel[3] or y1 < panel[2]:
+            panel = region.bbox
+    return field.values(panel, (ORDER_LOW,))
 
 
-class _PolarArea:
+class _PolarArea(PanelField):
     """Values of a polar chart field times the area element R."""
 
     def __init__(self, field):
@@ -257,6 +280,11 @@ class _PolarArea:
 
     def values(self, rect, rule):
         return self.field.values(rect, rule) * _panel_nodes(rect, rule)[0]
+
+    def blocks(self):
+        for rects, vals in self.field.blocks():
+            bounds = [b[:, None] for b in _columns(rects)]
+            yield rects, vals * _panel_nodes(bounds, RULE)[0]
 
 
 def _integrate_region(field, region, tol):
@@ -268,8 +296,8 @@ def _integrate_region(field, region, tol):
     if region is None:
         value, _, _ = integrate_halfplane(field, tol=tol)
     elif isinstance(region, Disk):
-        value, _, _ = integrate_box(
-            _PolarArea(field), (0.0, region.radius, 0.0, 2 * math.pi), tol=tol)
+        value, _, _ = integrate_box(_PolarArea(field), _disk_chart(region),
+                                    tol=tol)
     elif isinstance(region, StripUnion):
         value = sum(_integrate_region(field, box, tol) for box in region.boxes)
     elif isinstance(region, Box) and region.y_min == 0:

@@ -10,6 +10,13 @@ modular(f/lambda) <= 1, located here by bisection on the strictly
 decreasing map lambda -> modular(f/lambda).  Power-family growth
 functions take the closed p-norm route instead.
 
+A density modular is an adaptive cubature over the support's chart.  The
+passes of one solve share |f| and the weight on every panel evaluated so
+far, stored as blocks of panel rows; a pass maps every stored block
+through Phi, the mask and the clip at its lambda in one vectorised step,
+re-sums the panels row-wise, and evaluates per panel only what no earlier
+pass did (`_ModularEngine`).
+
 Sequence-space analogues live on lattice index sets with the lattice's
 row weights 2**(j*gamma*(alpha+2)); the Hardy variant takes
 per-horizontal-line norms and their supremum.  Sequences and lines are measures too (row
@@ -25,7 +32,7 @@ from . import quadrature as Q
 from .errors import (AccuracyError, BergmanOrliczError, DivergenceError,
                      NotInSpaceError, ParameterError)
 from .growth import inverse as _phi_inverse, power as _power
-from .halfplane import HPoint, _chart_field, _integrate_region, _seed_panel
+from .halfplane import HPoint, _chart_field, _integrate_region, _seed_values
 from .lattice import DeltaLattice, row_major, row_weights
 
 VANISH_LAMBDA = 1e-300
@@ -169,8 +176,16 @@ class LuxResult:
     bracket: tuple
 
 
-class _ComboField:
-    """Panel values Phi(|f|/lambda) * weight, both factors cached."""
+class _ComboField(Q.PanelField):
+    """Panel values Phi(|f|/lambda) * weight, both factors cached.
+
+    |f| and the weight are two `Field2D`s that only this field asks for
+    RULE panels, always both on the same rect, so they store their panels
+    in one order (a Disk's bisection seed asks |f| alone for the first
+    panel of the first pass, which keeps the order).  `blocks()` maps each
+    pair of their blocks with the elementwise steps `values` takes on one
+    panel; a pair that holds different rects is left to `values`.
+    """
 
     def __init__(self, absf, wt, phi, lam):
         self._absf = absf
@@ -179,11 +194,21 @@ class _ComboField:
         self._lam = lam
 
     def values(self, rect, rule):
+        return self._combine(self._absf.values(rect, rule),
+                             self._wt.values(rect, rule))
+
+    def blocks(self):
+        for (rects, a), (w_rects, w) in zip(self._absf.blocks(),
+                                            self._wt.blocks()):
+            if rects == w_rects:
+                v = self._combine(a.ravel(), w.ravel())
+                yield rects, v.reshape(a.shape)
+
+    def _combine(self, a, w):
         # clip the integrand, not Phi alone: y^alpha with alpha < 0 lifts a
         # clipped Phi past the float range near y = 0.  Where the weight is
         # 0 so is the integrand, even where Phi overflowed to inf.
-        v = self._phi(self._absf.values(rect, rule) / self._lam)
-        w = self._wt.values(rect, rule)
+        v = self._phi(a / self._lam)
         if not w.all():
             v = np.where(w == 0, 0.0, v)
         return np.minimum(v * w, VALUE_CLIP)
@@ -192,8 +217,18 @@ class _ComboField:
 class _ModularEngine:
     """Evaluates lambda -> modular(f/lambda) for one (f, measure) pair.
 
-    Density routes cache |f| and the weight on quadrature panels, so
-    re-evaluations at new lambda during bisection cost no field calls.
+    An atomic measure is a discrete sum over its atoms.  A density keeps
+    |f| and the weight as two `Field2D`s on the support's chart, which
+    store the node values of every quadrature panel they evaluate as rows
+    of append-only blocks (see `quadrature`).  Each modular pass builds a
+    fresh `_ComboField` at its lambda; its first integrated panel maps the
+    stored blocks through Phi, the zero-weight mask, the clip and (for a
+    Disk) the polar factor R, and row-sums them into a table of every
+    known panel's (value, abs_value, err).  The pass's adaptive walk reads
+    known panels from that table, so a bisection step after the first
+    costs one vectorised step per block of `quadrature.BLOCK_PANELS`
+    panels and per-panel work only for panels no earlier pass evaluated,
+    with every result bit for bit the panel-by-panel one.
     """
 
     def __init__(self, f, mu, tol):
@@ -224,7 +259,8 @@ class _ModularEngine:
 
     def start(self, phi):
         """Bisection seed typ / Phi^-1(1/mass) from the support's V_alpha
-        mass (1.0 for the whole plane) and a typical value of |f|; 1.0 when
+        mass (1.0 for the whole plane) and a typical value of |f|, its max
+        on the support's seed panel (`halfplane._seed_values`); 1.0 when
         either estimate fails."""
         mu = self.mu
         if mu.atoms:
@@ -233,7 +269,7 @@ class _ModularEngine:
         else:
             s = mu.support
             mass = 1.0 if s is None else s.mass(mu.alpha_base)
-            typ = float(self.absf.values(_seed_panel(s), (Q.ORDER_LOW,)).max())
+            typ = float(_seed_values(self.absf, s).max())
         if mass > 0 and typ > 0:
             try:
                 y = _phi_inverse(phi, 1.0 / mass)
@@ -449,10 +485,12 @@ def hardy_norm(F, phi, y_grid=None, tol=1e-8):
     if not ys or not all(0 < y < np.inf for y in ys):
         raise ParameterError(f"y_grid must hold positive finite heights: {ys}")
 
-    unit = Q.Field2D(np.ones_like)
     per_line = []
     for y in ys:
+        # one unit weight per line, so that it stores the line's panels in
+        # the order |F| does (see `_ComboField`)
         absf = Q.Field2D(lambda x: _finite_abs(F(x + 1j * y)))
+        unit = Q.Field2D(np.ones_like)
 
         def line_modular(psi, lam):
             combo = _ComboField(absf, unit, psi, lam)

@@ -7,9 +7,20 @@ panel.  A field is asked once per panel for both orders: `values(rect,
 RULE)` returns the order-16 tensor values and then the order-8 ones as one
 flat array, on nodes that are two affine maps of reference nodes built once
 per rule (`_rule`).  The driver, `_adapt`, refines worst-first with a
-sequence-number tie-break, so results are bit-stable for a fixed integrand;
-fields are `Field2D`s, which cache their node values per (panel, rule) in
-either dimension.
+sequence-number tie-break, so results are bit-stable for a fixed integrand.
+
+Fields are `PanelField`s.  A `Field2D` caches its node values per (panel,
+rule) in either dimension, and keeps every RULE panel's values as one row of
+an append-only block of BLOCK_PANELS rows: the cache entry is a view of that
+row, not a second array.  `blocks()` hands the stored rows on, block by
+block, so a field that maps node values elementwise (`orlicz._ComboField`,
+`halfplane._PolarArea`) maps a whole block in one call.  A field's `known`
+table holds the (value, abs_value, err) of every panel stored when it is
+first integrated, summed block-wise in `_table` bit for bit as `_panel` sums
+one panel; `_panel` answers a known panel from it and evaluates only the
+others.  A Luxembourg solve makes one such field per modular pass, so a pass
+after the first re-sums the panels of the passes before it in one
+vectorised step per block.
 
 Improper integrals (the real line, boundary singularities y^a with a > -1,
 the half-plane) are cut into doubling shells or strips halving toward y = 0,
@@ -19,6 +30,7 @@ misclassify slowly-decaying convergent integrands.
 """
 
 import heapq
+from functools import cached_property
 
 import numpy as np
 
@@ -30,6 +42,10 @@ ABS_FLOOR = 1e-300
 MAX_PANELS = {1: 2000, 2: 6000}
 EMPTY_PIECES = 60
 RULE = (ORDER_HIGH, ORDER_LOW)
+# rows of a Field2D block: a 2-D block is 32 x 320 values, 80 KB.  64-row
+# blocks ran lux-bisect no faster and raised its peak RSS by 0.8 MB (one
+# 20 s run each on a 2-core machine).
+BLOCK_PANELS = 32
 
 _nodes_cache = {}
 _rule_cache = {}
@@ -76,7 +92,71 @@ def _panel_nodes(rect, rule):
             for lo, hi, t in zip(rect[::2], rect[1::2], axes)]
 
 
-class Field2D:
+def _columns(rects):
+    """The bounds of k rects as 2 * dim arrays of k each: one rect of bound
+    arrays, which `_sums` integrates row by row."""
+    return tuple(np.array(rects).T)
+
+
+def _sums(rect, vals):
+    """Integrate RULE values on a panel at both orders; return (value,
+    abs_value, err).
+
+    rect may also be `_columns` of k rects with vals their (k, n) rows:
+    each row is summed along its own contiguous axis as one panel's flat
+    values are, so each of the k triples is bit for bit the one panel's.
+    `np.add.reduce` is the reduction `np.sum` runs, without its wrapper.
+    """
+    dim = len(rect) // 2
+    jac = 0.5 ** dim * (rect[1] - rect[0])
+    if dim == 2:
+        jac = jac * (rect[3] - rect[2])
+    w_hi, w_lo = _rule(RULE, dim)[1]
+    v_hi = vals[..., :w_hi.size]
+    hi = jac * np.add.reduce(w_hi * v_hi, -1)
+    hi_abs = jac * np.add.reduce(w_hi * np.abs(v_hi), -1)
+    lo = jac * np.add.reduce(w_lo * vals[..., w_hi.size:], -1)
+    return hi, hi_abs, abs(hi - lo)
+
+
+def _table(field):
+    """{rect: (value, abs_value, err)} of every panel in `field.blocks()`.
+
+    A block may hold panels the caller's integration never visits, so
+    float overflow in their sums is not reported; a visited panel's inf or
+    NaN still reaches `_adapt`'s checks as its own `_panel` would.
+    """
+    table = {}
+    with np.errstate(over="ignore", invalid="ignore"):
+        for rects, vals in field.blocks():
+            sums = _sums(_columns(rects), vals)
+            table.update(zip(rects, zip(*(s.tolist() for s in sums))))
+    return table
+
+
+class PanelField:
+    """A field `_adapt` integrates, panel by panel.
+
+    `values(rect, rule)` gives the flat values on the nodes of every order
+    of the rule (`_panel_nodes`).  `blocks()` yields the RULE panels the
+    field already holds, as (rects, values) pairs with one (k, n) row of
+    values per rect; a derived field maps one block at a time, so only one
+    block of its values is alive at once.  `known` sums those panels, once
+    per field object, on the field's first integrated panel.
+    """
+
+    def values(self, rect, rule):
+        raise NotImplementedError
+
+    def blocks(self):
+        return iter(())
+
+    @cached_property
+    def known(self):
+        return _table(self)
+
+
+class Field2D(PanelField):
     """Vectorized scalar field with per-panel node-value caching.
 
     A panel rect is (x0, x1) for a 1-D field fn(x) or (x0, x1, y0, y1) for
@@ -85,15 +165,19 @@ class Field2D:
     flat values in that order.  The cache is keyed on the exact rect and
     rule, so repeated integrations over the same panel geometry (e.g. the
     modular passes of one Luxembourg solve) never re-evaluate the base
-    field.  It is the one cached field type of both dimensions; it keeps
-    its 2-D name because perfbench/tracer.py counts its evaluations under
-    it.  Every other field (`orlicz._ComboField`, `halfplane._PolarArea`)
-    answers the same `values(rect, rule)`.
+    field.  A RULE panel's values are written into the next row of an
+    append-only block of BLOCK_PANELS rows, and its cache entry is that
+    row; `blocks()` yields the filled rows with their rects, in the order
+    the panels were first asked for.  It is the one cached field type of
+    both dimensions; it keeps its 2-D name because perfbench/tracer.py
+    counts its evaluations under it.
     """
 
     def __init__(self, fn):
         self.fn = fn
         self._cache = {}
+        self._blocks = []  # (rects, (BLOCK_PANELS, n) array) pairs
+        self._rects = self._block = None  # the last pair, rows being filled
 
     def values(self, rect, rule):
         key = (rect, rule)
@@ -103,24 +187,39 @@ class Field2D:
         vals = np.asarray(self.fn(*nodes))
         if vals.shape != nodes[0].shape:  # a constant fn gives one value
             vals = np.broadcast_to(vals, nodes[0].shape)
+        if rule == RULE:
+            vals = self._store(rect, vals)
         self._cache[key] = vals
         return vals
 
+    def _store(self, rect, vals):
+        """Copy a RULE panel's values into the next free row, opening a new
+        block when the last one is full or holds another dtype; return the
+        row."""
+        rects, block = self._rects, self._block
+        if (rects is None or len(rects) == BLOCK_PANELS
+                or block.dtype != vals.dtype):
+            rects, block = [], np.empty((BLOCK_PANELS, vals.size), vals.dtype)
+            self._blocks.append((rects, block))
+            self._rects, self._block = rects, block
+        row = block[len(rects)]
+        row[...] = vals
+        rects.append(rect)
+        return row
+
+    def blocks(self):
+        for rects, block in self._blocks:
+            yield tuple(rects), block[:len(rects)]
+
 
 def _panel(field, rect):
-    """Integrate a field on one panel at both orders of RULE from one
-    values call; return (value, abs_value, err)."""
-    dim = len(rect) // 2
-    jac = 0.5 ** dim * (rect[1] - rect[0])
-    if dim == 2:
-        jac *= rect[3] - rect[2]
-    w_hi, w_lo = _rule(RULE, dim)[1]
-    vals = field.values(rect, RULE)
-    v_hi = vals[:w_hi.size]
-    hi = jac * np.sum(w_hi * v_hi)
-    hi_abs = jac * np.sum(w_hi * np.abs(v_hi))
-    lo = jac * np.sum(w_lo * vals[w_hi.size:])
-    return hi, hi_abs, abs(hi - lo)
+    """Integrate a field on one panel at both orders of RULE; return
+    (value, abs_value, err), from the field's `known` table when it holds
+    the panel and from one values call otherwise."""
+    known = field.known.get(rect)
+    if known is not None:
+        return known
+    return _sums(rect, field.values(rect, RULE))
 
 
 def _split(rect):

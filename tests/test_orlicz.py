@@ -12,7 +12,8 @@ from bergman_orlicz import growth as G
 from bergman_orlicz import lattice as L
 from bergman_orlicz import orlicz as O
 from bergman_orlicz import quadrature as Q
-from bergman_orlicz.errors import AccuracyError, NotInSpaceError, ParameterError
+from bergman_orlicz.errors import (AccuracyError, DivergenceError,
+                                   NotInSpaceError, ParameterError)
 from bergman_orlicz.halfplane import Box, CarlesonSquare, Disk, HPoint, StripUnion
 
 DIRAC_POWERLOG_LUX = 1.7470451544286443954
@@ -416,3 +417,132 @@ def test_hardy_norm_pole_on_the_line_raises():
     x0 = float(Q.gauss_nodes(Q.ORDER_HIGH)[0][3])
     with pytest.raises(AccuracyError):
         O.hardy_norm(lambda z: 1.0 / (z - (x0 + 1j)), G.power(2), y_grid=[1.0])
+
+
+# float.hex of (value, modular_at_value, iterations) frozen before the
+# modular passes of a bisection moved onto the block store: re-summing the
+# stored panels block by block must not move a bit.
+PLANE_DECAY = B.decay(1.25, 3.0)
+BISECTION_PINS = [
+    ("plane power_log", PLANE_DECAY, O.valpha_measure(0.0),
+     G.power_log(2.5, 1.0, 2.0), 1e-6,
+     ("0x1.cc743b5090f5bp-2", "0x1.ffffffd58c119p-1", 30)),
+    ("plane custom t^2.5", PLANE_DECAY, O.valpha_measure(0.0),
+     G.custom(lambda t: np.power(t, 2.5), label="t^2.5"), 1e-6,
+     ("0x1.b4da87c1aedcep-2", "0x1.ffffffcefbfabp-1", 30)),
+    ("graded box power_log", B.decay(1.0, 3.0),
+     O.valpha_measure(0.0, Box(0.0, 1.0, 0.0, 1.0)), G.power_log(2, 1, 2),
+     1e-8, ("0x1.83de1b45b2d3ep-2", "0x1.0000000f87092p+0", 30)),
+]
+
+
+@pytest.mark.parametrize("name,f,mu,phi,tol,pin", BISECTION_PINS,
+                         ids=[p[0] for p in BISECTION_PINS])
+def test_bits_bisection_route(name, f, mu, phi, tol, pin):
+    r = O.luxembourg(f, mu, phi, tol=tol)
+    assert (r.value.hex(), r.modular_at_value.hex(), r.iterations) == pin
+
+
+def test_lux_bisection_passes_reuse_the_store(monkeypatch):
+    # f is fed exactly the nodes it was fed panel by panel (140,544), and a
+    # pass calls Phi at most once per stored block plus once per panel that
+    # no earlier pass evaluated, where panel by panel it was once per panel
+    phi = G.power_log(2.5, 1.0, 2.0)
+    sizes, passes = [], []
+
+    def f(z):
+        sizes.append(np.size(z))
+        return PLANE_DECAY(z)
+
+    phi_calls = [0]
+    call = G.GrowthFunction.__call__
+
+    def counted(self, t):
+        phi_calls[0] += 1
+        return call(self, t)
+
+    monkeypatch.setattr(G.GrowthFunction, "__call__", counted)
+    modular_at = O._ModularEngine.modular_at
+
+    def traced(engine, psi, lam):
+        before = (phi_calls[0], len(sizes), len(list(engine.absf.blocks())))
+        try:
+            return modular_at(engine, psi, lam)
+        finally:
+            passes.append((phi_calls[0] - before[0], len(sizes) - before[1],
+                           before[2]))
+
+    monkeypatch.setattr(O._ModularEngine, "modular_at", traced)
+    r = O.luxembourg(f, O.valpha_measure(0.0), phi, tol=1e-6)
+    assert r.value.hex() == BISECTION_PINS[0][5][0]
+    assert sum(sizes) == 140544
+    assert len(passes) == r.iterations == 30
+    for calls, new_panels, blocks in passes:
+        assert calls <= blocks + new_panels
+    # the first pass evaluates its panels one by one; over the 30 passes
+    # Phi runs fewer than 3 times per panel, where panel by panel it ran
+    # once per panel per pass
+    assert passes[0][0] == passes[0][1] > 0
+    panels = sizes.count(Q.ORDER_HIGH ** 2 + Q.ORDER_LOW ** 2)
+    assert sum(p[0] for p in passes) < 3 * panels
+
+
+@pytest.mark.parametrize("support,weight,alpha", [
+    (None, None, 0.0),
+    (Box(0.0, 1.0, 0.0, 1.0), None, -0.5),
+    (Disk(HPoint(0.2, 1.0), 0.5), None, 0.5),
+    (StripUnion((Box(0.0, 1.0, 0.0, 1.0), Box(2.0, 3.0, 0.5, 1.0))), None,
+     0.5),
+    (Box(-1.0, 1.0, 0.5, 1.5), lambda z: np.exp(-1000 * np.real(z) ** 2),
+     0.0),
+], ids=["plane", "graded", "disk", "strips", "zero-weight"])
+def test_batched_pass_equals_panel_by_panel(support, weight, alpha):
+    # a pass that reads stored panels gives the bits of a fresh engine,
+    # whose one pass evaluates every panel on its own
+    mu = O.density_measure(weight, support, alpha)
+    phi = G.power_log(2, 1, 2)
+
+    def outcome(engine, lam):
+        try:
+            return engine.modular_at(phi, lam).hex()
+        except DivergenceError:  # the whole plane at the vanishing probe
+            return "diverges"
+
+    engine = O._ModularEngine(DECAY3, mu, 1e-6)
+    for lam in (0.05, 1e-300, 0.5, 2.0, 0.3):
+        fresh = O._ModularEngine(DECAY3, mu, 1e-6)
+        assert outcome(engine, lam) == outcome(fresh, lam)
+    assert engine.modular_at(phi, 0.3) > 0
+
+
+def test_lux_disk_seed_reads_the_first_panel():
+    # the seed reads the order-8 tail of the disk's first quadrature panel,
+    # so no node set is fed to f twice
+    sizes, seen = [], set()
+
+    def f(z):
+        sizes.append(np.size(z))
+        seen.add(np.asarray(z).tobytes())
+        return 1.0 / np.abs(z + 1j)
+
+    mu = O.valpha_measure(0.0, Disk(HPoint(0.0, 1.0), 0.5))
+    r = O.luxembourg(f, mu, G.power_log(2, 1, 2))
+    assert sum(sizes) == 1600
+    assert len(seen) == len(sizes)
+    assert r.value.hex() == "0x1.e9783f7198970p-2"
+
+
+def test_lux_seed_off_the_fixed_panel():
+    # a support away from the fixed seed panel samples its own bbox: the
+    # bump far out bisects in no more steps than the same bump near 0
+    phi = G.power_log(2, 1, 2)
+    steps = []
+    for c in (0.5, 50.5):
+        def bump(z, c=c):
+            return 1e6 * np.exp(-np.abs(z - (c + 1j)) ** 2)
+
+        mu = O.valpha_measure(0.0, Box(c - 0.5, c + 0.5, 0.5, 1.5))
+        r = O.luxembourg(bump, mu, phi)
+        assert abs(r.modular_at_value - 1.0) <= 1e-8
+        steps.append(r.iterations)
+    assert steps[1] <= steps[0] == 29

@@ -63,6 +63,75 @@ def test_field_caches_panels():
     assert list(field._cache) == [(rect, Q.RULE)]
 
 
+def test_field_stores_rule_panels_as_block_rows():
+    # a RULE panel's cache entry is a row of an append-only block, the only
+    # copy of its values; other rules stay outside the blocks
+    field = Q.Field2D(lambda x, y: x + y)
+    rects = [(0.0, 1.0, float(k), k + 1.0) for k in range(Q.BLOCK_PANELS + 3)]
+    rows = [field.values(r, Q.RULE) for r in rects]
+    field.values(rects[0], (Q.ORDER_LOW,))
+    blocks = list(field.blocks())
+    assert [len(r) for r, _ in blocks] == [Q.BLOCK_PANELS, 3]
+    assert [r for rs, _ in blocks for r in rs] == rects
+    stacked = np.concatenate([v for _, v in blocks])
+    assert stacked.shape == (len(rects), Q.ORDER_HIGH ** 2 + Q.ORDER_LOW ** 2)
+    for k, row in enumerate(rows):
+        assert field._cache[rects[k], Q.RULE] is row
+        assert np.shares_memory(row, blocks[k // Q.BLOCK_PANELS][1])
+        assert np.array_equal(row, stacked[k])
+    # a panel of another dtype opens a new block rather than casting
+    cfield = Q.Field2D(lambda x: x + (1j if x[0] > 1 else 0))
+    cfield.values((0.0, 1.0), Q.RULE)
+    assert np.iscomplexobj(cfield.values((2.0, 3.0), Q.RULE))
+    assert [v.dtype.kind for _, v in cfield.blocks()] == ["f", "c"]
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_block_table_equals_panel_sums(dim):
+    # _table sums stored rows block-wise to the bits of one panel's _sums
+    fn = (lambda x: np.exp(np.sin(7 * x)) / (1 + x * x)) if dim == 1 else \
+        (lambda x, y: np.cos(5 * x * y) / (1 + x * x) - y)
+    field = Q.Field2D(fn)
+    rng = np.random.default_rng(3)
+    rects = []
+    for _ in range(2 * Q.BLOCK_PANELS + 5):
+        lo = rng.uniform(-3, 3, size=dim)
+        hi = lo + rng.uniform(1e-3, 2, size=dim)
+        rects.append(tuple(float(v) for pair in zip(lo, hi) for v in pair))
+    for r in rects:
+        field.values(r, Q.RULE)
+    table = Q._table(field)
+    assert list(table) == rects
+    for r in rects:
+        alone = Q._sums(r, field.values(r, Q.RULE))
+        assert [float(v).hex() for v in table[r]] == \
+            [float(v).hex() for v in alone]
+
+
+def test_known_panels_are_not_evaluated():
+    # a panel of the field's known table is answered from it; only the
+    # others ask for values
+    asked = []
+
+    class Logged(Q.PanelField):
+        def __init__(self, inner):
+            self.inner = inner
+
+        def values(self, rect, rule):
+            asked.append(rect)
+            return self.inner.values(rect, rule)
+
+        def blocks(self):
+            return self.inner.blocks()
+
+    inner = Q.Field2D(lambda x, y: 1.0 / np.sqrt(x * x + y + 1e-3))
+    first = Q.integrate_box(Logged(inner), (0.0, 1.0, 0.0, 1.0), tol=1e-12)
+    n = len(asked)
+    assert n > 1
+    again = Q.integrate_box(Logged(inner), (0.0, 1.0, 0.0, 1.0), tol=1e-12)
+    assert len(asked) == n and again == first
+
+
 @pytest.mark.parametrize("dim", [1, 2])
 def test_rule_nodes_are_tensor_grids_in_ij_order(dim):
     # order 16's tensor nodes, then order 8's, each as meshgrid(ij).ravel()
