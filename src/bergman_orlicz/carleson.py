@@ -31,6 +31,11 @@ MEMBERSHIP_TAIL_CAP = 1.0 / 3.0
 GAUSS_ORDER_Y = 16
 PANEL_RATIO = 4.0
 BOUNDARY_PANELS = 20
+# points per block of the box transform, so that its (points x y-nodes)
+# temporaries stay in cache: on Box(0, 1, 0, 1) with tau = -0.5 (336
+# y-nodes), 2,560 points took 16-18 ms in blocks of 32 or 64, 21 ms in
+# blocks of 16 or 128 and 31 ms in one block (best of 7, 2-core machine)
+BEREZIN_BLOCK = 64
 
 FAMILY_DEFAULTS = {"kernels": 30, "atoms": 20, "im_lo": 1e-3, "im_hi": 1.0,
                    "delta": 0.5, "window": (4, 2), "support_size": 5}
@@ -207,10 +212,13 @@ def berezin_fn(mu, alpha=0.0, tol=1e-6):
         def fn(z):
             zz = np.asarray(z, dtype=complex)
             flat = np.atleast_1d(zz).ravel()
-            xz, yz = np.real(flat)[:, None], np.imag(flat)[:, None]
-            c = ynod[None, :] + yz
-            inner = _int_inv_power(box.x_min - xz, box.x_max - xz, c, m)
-            out = (inner @ gvals) * np.imag(flat) ** m
+            out = np.empty(flat.shape)
+            for i in range(0, flat.size, BEREZIN_BLOCK):
+                part = flat[i:i + BEREZIN_BLOCK]
+                xz, yz = np.real(part)[:, None], np.imag(part)[:, None]
+                c = ynod[None, :] + yz
+                inner = _int_inv_power(box.x_min - xz, box.x_max - xz, c, m)
+                out[i:i + BEREZIN_BLOCK] = (inner @ gvals) * np.imag(part) ** m
             return out.reshape(zz.shape) if zz.shape else float(out[0])
         return fn
 

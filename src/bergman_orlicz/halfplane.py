@@ -23,8 +23,7 @@ from .quadrature import (
     RULE,
     Field2D,
     PanelField,
-    _columns,
-    _panel_nodes,
+    _batch_nodes,
     integrate_1d,
     integrate_box,
     integrate_box_graded,
@@ -278,13 +277,12 @@ class _PolarArea(PanelField):
     def __init__(self, field):
         self.field = field
 
-    def values(self, rect, rule):
-        return self.field.values(rect, rule) * _panel_nodes(rect, rule)[0]
+    def batch(self, rects):
+        return self.field.batch(rects) * _batch_nodes(rects)[0]
 
     def blocks(self):
         for rects, vals in self.field.blocks():
-            bounds = [b[:, None] for b in _columns(rects)]
-            yield rects, vals * _panel_nodes(bounds, RULE)[0]
+            yield rects, vals * _batch_nodes(rects)[0]
 
 
 def _integrate_region(field, region, tol):

@@ -14,8 +14,8 @@ A density modular is an adaptive cubature over the support's chart.  The
 passes of one solve share |f| and the weight on every panel evaluated so
 far, stored as blocks of panel rows; a pass maps every stored block
 through Phi, the mask and the clip at its lambda in one vectorised step,
-re-sums the panels row-wise, and evaluates per panel only what no earlier
-pass did (`_ModularEngine`).
+re-sums the panels row-wise, and evaluates only what no earlier pass did,
+a batch of panels at a time (`_ModularEngine`).
 
 Sequence-space analogues live on lattice index sets with the lattice's
 row weights 2**(j*gamma*(alpha+2)); the Hardy variant takes
@@ -180,11 +180,12 @@ class _ComboField(Q.PanelField):
     """Panel values Phi(|f|/lambda) * weight, both factors cached.
 
     |f| and the weight are two `Field2D`s that only this field asks for
-    RULE panels, always both on the same rect, so they store their panels
+    RULE panels, always both on the same rects, so they store their panels
     in one order (a Disk's bisection seed asks |f| alone for the first
-    panel of the first pass, which keeps the order).  `blocks()` maps each
-    pair of their blocks with the elementwise steps `values` takes on one
-    panel; a pair that holds different rects is left to `values`.
+    panel of the first pass, which keeps the order).  `batch` computes the
+    rects' nodes once for both fields and `blocks()` maps each pair of
+    their blocks, both with the same elementwise steps; a pair of blocks
+    that holds different rects is left to `batch`.
     """
 
     def __init__(self, absf, wt, phi, lam):
@@ -193,25 +194,26 @@ class _ComboField(Q.PanelField):
         self._phi = phi
         self._lam = lam
 
-    def values(self, rect, rule):
-        return self._combine(self._absf.values(rect, rule),
-                             self._wt.values(rect, rule))
+    def batch(self, rects):
+        nodes = Q._batch_nodes(rects)
+        return self._combine(self._absf.batch(rects, nodes),
+                             self._wt.batch(rects, nodes))
 
     def blocks(self):
         for (rects, a), (w_rects, w) in zip(self._absf.blocks(),
                                             self._wt.blocks()):
             if rects == w_rects:
-                v = self._combine(a.ravel(), w.ravel())
-                yield rects, v.reshape(a.shape)
+                yield rects, self._combine(a, w)
 
     def _combine(self, a, w):
         # clip the integrand, not Phi alone: y^alpha with alpha < 0 lifts a
         # clipped Phi past the float range near y = 0.  Where the weight is
         # 0 so is the integrand, even where Phi overflowed to inf.
-        v = self._phi(a / self._lam)
+        v = self._phi(a.ravel() / self._lam)
+        w = w.ravel()
         if not w.all():
             v = np.where(w == 0, 0.0, v)
-        return np.minimum(v * w, VALUE_CLIP)
+        return np.minimum(v * w, VALUE_CLIP).reshape(a.shape)
 
 
 class _ModularEngine:
@@ -225,10 +227,14 @@ class _ModularEngine:
     stored blocks through Phi, the zero-weight mask, the clip and (for a
     Disk) the polar factor R, and row-sums them into a table of every
     known panel's (value, abs_value, err).  The pass's adaptive walk reads
-    known panels from that table, so a bisection step after the first
-    costs one vectorised step per block of `quadrature.BLOCK_PANELS`
-    panels and per-panel work only for panels no earlier pass evaluated,
-    with every result bit for bit the panel-by-panel one.
+    known panels from that table and evaluates the others in batches: the
+    two halves of a split, and the first panels of the next
+    `quadrature.STRIP_LOOKAHEAD` graded strips.  A batch is one call of f
+    and one of the weight, on nodes computed once for both, and one Phi
+    call.  So a bisection step after the first costs one vectorised step
+    per block of `quadrature.BLOCK_PANELS` panels plus one per batch of
+    panels no earlier pass evaluated, with every result bit for bit the
+    panel-by-panel one.
     """
 
     def __init__(self, f, mu, tol):

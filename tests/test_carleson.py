@@ -219,6 +219,16 @@ def test_berezin_fn_box_matches_mpmath(y0, tau):
     assert np.max(np.abs(got - ref) / ref) < 1e-9
 
 
+def test_berezin_fn_box_blocks_are_bit_stable():
+    # the points go through the closed form in fixed blocks, so a batch of
+    # eight 320-point panels gives the bits of the panels one at a time
+    fn = C.berezin_fn(valpha_measure(-0.5, Box(0.0, 1.0, 0.0, 1.0)))
+    rng = np.random.default_rng(11)
+    z = rng.uniform(-3, 4, 2560) + 1j * rng.uniform(1e-3, 4, 2560)
+    alone = np.concatenate([fn(z[i:i + 320]) for i in range(0, 2560, 320)])
+    assert fn(z).tobytes() == alone.tobytes()
+
+
 def test_berezin_fn_boundary_box_needs_integrable_weight():
     with pytest.raises(DivergenceError):
         C.berezin_fn(density_measure(None, Box(0.0, 1.0, 0.0, 1.0), -1.0))
@@ -379,6 +389,25 @@ def test_composition_dilation_verdict_ratio_half():
     v = C.composition_check(2.0, 0.0, 0.0, 1.0, 0.0, T2, T2,
                             family_spec=SMALL_FAMILY, seed=2)
     assert abs(v.empirical_ratio - 0.5) < 1e-3
+
+
+# float.hex of the worst empirical ratio of the benchmark's pullback maps
+# (t^2, beta = alpha = 0), frozen before graded strips and split halves were
+# evaluated in batches: batching must not move a bit.
+PULLBACK_FAMILY = {"kernels": 2, "atoms": 1, "window": (2, 1),
+                   "im_lo": 0.1, "support_size": 2}
+PULLBACK_PINS = [("identity", (1.0, 0.0, 0.0, 1.0), "0x1.ffff40cb83588p-1"),
+                 ("2z", (2.0, 0.0, 0.0, 1.0), "0x1.ffff40cb83588p-2"),
+                 ("z+1", (1.0, 1.0, 0.0, 1.0), "0x1.ffff40cb83588p-1")]
+
+
+@pytest.mark.parametrize("name,coeffs,pin", PULLBACK_PINS,
+                         ids=[p[0] for p in PULLBACK_PINS])
+def test_bits_composition_ratio(name, coeffs, pin):
+    v = C.composition_check(*coeffs, 0.0, T2, T2,
+                            family_spec=dict(PULLBACK_FAMILY), seed=0,
+                            tol=1e-4)
+    assert v.empirical_ratio.hex() == pin
 
 
 def test_composition_interior_shift_ratios_decay():

@@ -58,24 +58,27 @@ def test_lux_power_fast_path():
 
 def test_lux_power_route_evaluates_each_panel_once():
     # the p-th-power pass and the modular check at the value share one
-    # engine, so no quadrature panel feeds f the same nodes twice; each
-    # panel is one call on both orders' nodes.  One Box panel is enough,
-    # so it may take a single call; the graded square takes several.
+    # engine, so no quadrature panel feeds f the same nodes twice.  A call
+    # holds the nodes of one panel or of a batch of panels (the first
+    # panels of the next graded strips, the halves of a split); the node
+    # totals are pinned.  One Box panel is enough, so it takes a single call.
     n_rule = Q.ORDER_HIGH ** 2 + Q.ORDER_LOW ** 2
-    for support, min_calls in ((Box(0.0, 1.0, 0.5, 1.5), 1),
-                               (CarlesonSquare(0.0, 1.0), 2)):
-        seen, sizes = set(), []
+    for support, total in ((Box(0.0, 1.0, 0.5, 1.5), n_rule),
+                           (CarlesonSquare(0.0, 1.0), 30400)):
+        panels, sizes = [], []
 
         def f(z):
-            sizes.append(np.size(z))
-            seen.add(np.asarray(z).tobytes())
+            z = np.asarray(z)
+            sizes.append(z.size)
+            if z.size % n_rule == 0:
+                panels.extend(p.tobytes() for p in z.reshape(-1, n_rule))
             return DECAY3(z)
 
         r = O.luxembourg(f, O.valpha_measure(0.0, support), G.power(3))
         assert r.iterations == 0
-        assert len(sizes) >= min_calls
-        assert sizes == [n_rule] * len(sizes)
-        assert len(seen) == len(sizes)
+        assert all(n % n_rule == 0 for n in sizes)
+        assert sum(sizes) == total
+        assert len(set(panels)) == len(panels)
 
 
 def test_lux_weighted_square():
@@ -444,9 +447,11 @@ def test_bits_bisection_route(name, f, mu, phi, tol, pin):
 
 
 def test_lux_bisection_passes_reuse_the_store(monkeypatch):
-    # f is fed exactly the nodes it was fed panel by panel (140,544), and a
-    # pass calls Phi at most once per stored block plus once per panel that
-    # no earlier pass evaluated, where panel by panel it was once per panel
+    # f is fed 152,064 nodes: the 140,544 of the panels the solve integrates
+    # and 11,520 more of graded strips that a lookahead batch evaluates past
+    # the end of their chain.  A pass calls Phi at most once per stored
+    # block plus once per batch of panels that no earlier pass evaluated,
+    # where panel by panel it was once per panel
     phi = G.power_log(2.5, 1.0, 2.0)
     sizes, passes = [], []
 
@@ -475,16 +480,57 @@ def test_lux_bisection_passes_reuse_the_store(monkeypatch):
     monkeypatch.setattr(O._ModularEngine, "modular_at", traced)
     r = O.luxembourg(f, O.valpha_measure(0.0), phi, tol=1e-6)
     assert r.value.hex() == BISECTION_PINS[0][5][0]
-    assert sum(sizes) == 140544
+    assert sum(sizes) == 152064
     assert len(passes) == r.iterations == 30
-    for calls, new_panels, blocks in passes:
-        assert calls <= blocks + new_panels
-    # the first pass evaluates its panels one by one; over the 30 passes
-    # Phi runs fewer than 3 times per panel, where panel by panel it ran
-    # once per panel per pass
+    for calls, new_batches, blocks in passes:
+        assert calls <= blocks + new_batches
+    # the first pass calls Phi once per batch it evaluates; over the 30
+    # passes Phi runs fewer than 3 times per panel, where panel by panel it
+    # ran once per panel per pass
     assert passes[0][0] == passes[0][1] > 0
-    panels = sizes.count(Q.ORDER_HIGH ** 2 + Q.ORDER_LOW ** 2)
+    panels = sum(sizes) // (Q.ORDER_HIGH ** 2 + Q.ORDER_LOW ** 2)
     assert sum(p[0] for p in passes) < 3 * panels
+
+
+def test_modular_maps_each_batch_of_nodes_once(monkeypatch):
+    # |f| and the weight are asked for the same batches of panels, and
+    # the nodes of a batch are computed once for both
+    node_calls, f_sizes, w_sizes = [0], [], []
+    panel_nodes = Q._panel_nodes
+
+    def counted(rect, rule):
+        node_calls[0] += 1
+        return panel_nodes(rect, rule)
+
+    def f(z):
+        f_sizes.append(np.size(z))
+        return DECAY3(z)
+
+    def w(z):
+        w_sizes.append(np.size(z))
+        return 1.0 + np.real(z) ** 2
+
+    monkeypatch.setattr(Q, "_panel_nodes", counted)
+    v = O.modular(f, O.density_measure(w, None, 0.5), G.power(2), tol=1e-6)
+    assert v > 0
+    assert f_sizes == w_sizes
+    assert node_calls[0] == len(f_sizes) > 1
+
+
+# |f| is infinite only below y = 1e-8: at tol 1e-7 the graded chain stops
+# with its lowest node at 1.5e-8, but its last lookahead batch reaches
+# 9.4e-10; at tol 1e-8 the chain itself goes below 1e-8
+STEP_BELOW = lambda z: np.where(np.imag(z) < 1e-8, np.inf,
+                                1.0 + np.real(z) * np.imag(z))
+
+
+def test_lookahead_past_the_chain_does_not_raise():
+    mu = O.valpha_measure(0.0, Box(0.0, 1.0, 0.0, 1.0))
+    # the value of the strip-by-strip chain, which never saw the inf
+    v = O.modular(STEP_BELOW, mu, G.power(2), tol=1e-7)
+    assert v.hex() == "0x1.9c71c6dc71c70p+0"
+    with pytest.raises(AccuracyError):
+        O.modular(STEP_BELOW, mu, G.power(2), tol=1e-8)
 
 
 @pytest.mark.parametrize("support,weight,alpha", [

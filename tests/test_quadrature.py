@@ -108,6 +108,58 @@ def test_block_table_equals_panel_sums(dim):
             [float(v).hex() for v in alone]
 
 
+@pytest.mark.parametrize("dim", [1, 2])
+def test_panels_batch_equals_panel_by_panel(dim):
+    # _panels evaluates its new rects in one fn call and gives each the
+    # bits of the panel evaluated and summed on its own; a batch of partly
+    # cached rects evaluates only the others
+    fn = (lambda x: np.exp(np.sin(7 * x)) / (1 + x * x)) if dim == 1 else \
+        (lambda x, y: np.cos(5 * x * y) / (1 + x * x) - y)
+    sizes = []
+
+    def counted(*nodes):
+        sizes.append(nodes[0].size)
+        return fn(*nodes)
+
+    rng = np.random.default_rng(5)
+    rects = []
+    for _ in range(Q.BLOCK_PANELS + 7):
+        lo = rng.uniform(-3, 3, size=dim)
+        hi = lo + rng.uniform(1e-3, 2, size=dim)
+        rects.append(tuple(float(v) for pair in zip(lo, hi) for v in pair))
+    n = Q.ORDER_HIGH ** dim + Q.ORDER_LOW ** dim
+    field = Q.Field2D(counted)
+    got = Q._panels(field, rects)
+    assert sizes == [len(rects) * n]
+    for r, triple in zip(rects, got):
+        alone = Q._sums(r, Q.Field2D(fn).values(r, Q.RULE))
+        assert [float(v).hex() for v in triple] == \
+            [float(v).hex() for v in alone]
+    assert Q._panels(field, rects[::-1]) == got[::-1]
+    assert len(sizes) == 1
+    part = Q.Field2D(counted)
+    part.values(rects[3], Q.RULE)
+    rows = part.batch(rects)
+    assert sizes[2:] == [(len(rects) - 1) * n]
+    assert rows.tobytes() == np.array(
+        [field.values(r, Q.RULE) for r in rects]).tobytes()
+
+
+def test_adapt_checks_complex_and_real_totals():
+    # a complex total passes the NaN and inf checks, a NaN in a complex
+    # total raises AccuracyError and an infinite real one DivergenceError
+    rect = (0.0, 1.0, 0.0, 1.0)
+    v, _, _ = Q.integrate_box(Q.Field2D(lambda x, y: x + 1j * y), rect)
+    assert abs(v - (0.5 + 0.5j)) < 1e-14
+    nan_imag = Q.Field2D(lambda x, y: 1.0 + 1j * np.where(x > 0.5, np.nan, 0.0))
+    with pytest.raises(AccuracyError):
+        Q.integrate_box(nan_imag, rect)
+    x16 = Q._panel_nodes(rect, Q.RULE)[0][0]  # an order-16 node only
+    inf_at_node = Q.Field2D(lambda x, y: np.where(x == x16, np.inf, 1.0))
+    with pytest.raises(DivergenceError):
+        Q.integrate_box(inf_at_node, rect)
+
+
 def test_known_panels_are_not_evaluated():
     # a panel of the field's known table is answered from it; only the
     # others ask for values
