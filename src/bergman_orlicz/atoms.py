@@ -31,29 +31,28 @@ KHINTCHINE_MARGIN = 0.10
 
 
 def _window(lat):
-    """The window's indices in the lattice's (j, l) order and their points."""
-    keys = lattice.row_major(lat.points)
-    return keys, np.array([lat.points[k].z for k in keys])
+    """The window's indices in (j, l) order, their points and rows."""
+    ls, js, xs, ys = lat.index_arrays()
+    zs = np.empty(xs.size, dtype=complex)
+    zs.real, zs.imag = xs, ys
+    return list(zip(ls.tolist(), js.tolist())), zs, js
 
 
 def sample(F, lat):
     """Evaluate F at every lattice point of the window."""
-    keys, zs = _window(lat)
+    keys, zs, _ = _window(lat)
     vals = np.asarray(F(zs), dtype=complex)
     return LatticeSequence(dict(zip(keys, vals)), lat)
 
 
-def _atom_data(lat, alpha):
-    """Window indices, atom centres and row weights, in (j, l) order."""
-    keys, centers = _window(lat)
-    weights = lattice.row_weights([k[1] for k in keys], lat.gamma, alpha)
-    return keys, centers, weights
-
-
-def _gram(centers, w, alpha):
+def _gram(lat, alpha):
+    """Window indices, atom centres, row weights and Gram matrix."""
+    keys, centers, js = _window(lat)
+    w = lattice.row_weights(js, lat.gamma, alpha)
     c_a = bergman.ATOM_COEF_BASE ** (alpha + 2.0)
-    return (c_a * c_a / bergman.reproducing_constant(alpha)) \
+    g = (c_a * c_a / bergman.reproducing_constant(alpha)) \
         * (w[:, None] * w[None, :]) * bergman.kernel_matrix(centers, alpha)
+    return keys, centers, w, g
 
 
 def atom_gram(lat, alpha=0.0):
@@ -62,8 +61,8 @@ def atom_gram(lat, alpha=0.0):
     Entries come from the reproducing identity: the inner product of
     two kernels is a kernel value over the reproducing constant.
     """
-    keys, centers, w = _atom_data(lat, alpha)
-    return keys, _gram(centers, w, alpha)
+    keys, _, _, g = _gram(lat, alpha)
+    return keys, g
 
 
 RESIDUAL_TOL = 1e-4
@@ -104,8 +103,7 @@ def decompose_l2(F, lat, alpha=0.0, ridge=RIDGE_DEFAULT):
     """
     if ridge < 0:
         raise ParameterError(f"ridge must be >= 0, got {ridge}")
-    keys, centers, w = _atom_data(lat, alpha)
-    g = _gram(centers, w, alpha)
+    keys, centers, w, g = _gram(lat, alpha)
     c_a = bergman.ATOM_COEF_BASE ** (alpha + 2.0)
     fvals = np.asarray(F(centers), dtype=complex)
     b = c_a * w * fvals / bergman.reproducing_constant(alpha)

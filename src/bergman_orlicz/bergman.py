@@ -15,7 +15,10 @@ kernel-atom sums over a lattice sequence with coefficient mu at index
     2**(alpha+2) * mu * K(z, lattice point) * 2**(j*gamma*(alpha+2)),
 
 normalized so the sum evaluated at its own lattice point returns mu
-when the other atoms are far.
+when the other atoms are far.  An atom sum is evaluated directly, every
+point against every atom, in cache-sized blocks of points; for an
+integer weight (alpha = 0, 1, ...) the kernel powers are exact products,
+and a point's value never depends on the other points it comes with.
 """
 
 import math
@@ -29,7 +32,16 @@ from .growth import inverse_vec as _phi_inverse_vec
 from .halfplane import HPoint, integrate as _integrate, plane_power_integral
 from .orlicz import LatticeSequence, luxembourg, valpha_measure
 
-_ATOM_CHUNK = 512  # atoms per block in the atom-sum evaluation
+# Terms (points x atoms) per block of `_atom_sum_eval`, so that a block's
+# two complex temporaries (256 KB at 16k terms) stay in the core's cache.
+# On 8,241 points x 1,000 atoms (expo 2, one core of a Xeon with 2 MB of
+# L2 per core), blocks of 8k-32k terms took 0.087-0.092 s, and 4k and 128k
+# terms 0.10 s.
+_ATOM_BLOCK = 16384
+# Largest integer exponent taken by repeated products.  On the same case
+# they beat numpy's complex power at every exponent up to 16 (0.19 s
+# against 0.33 s at 16) and only tied with it at 32.
+_EXACT_POWER_MAX = 16
 
 
 def _as_complex(z):
@@ -39,18 +51,39 @@ def _as_complex(z):
 
 
 def _atom_sum_eval(z, centers, coeffs, expo):
-    """sum_k coeffs[k] * ((z - conj(centers[k])) / i)^(-expo), elementwise in z.
+    """sum_k coeffs[k] * ((z - conj(centers[k])) / i)^(-expo) on flat z.
 
-    Chunked over the atom axis so the (points x atoms) temporaries stay
-    bounded; within a chunk the sum is numpy's pairwise reduction.
+    The points go in blocks of about `_ATOM_BLOCK` terms, so a block's
+    (points x atoms) temporaries stay in cache and the peak memory is a
+    few of them, whatever the number of points.  An integer expo (alpha
+    = 0, 1, ...) is exact powers: one reciprocal and expo - 1 multiplies;
+    any other expo is numpy's complex power, on the principal branch.
+    Each row is summed on its own by numpy's pairwise sum, so a point's
+    value does not depend on the other points of the call.  Multiplying
+    by -i is exact, so z and the conjugate centres take it once, before
+    their difference.
     """
-    z = np.asarray(z, dtype=np.complex128)
-    out = np.zeros(z.shape, dtype=np.complex128)
-    for k0 in range(0, centers.size, _ATOM_CHUNK):
-        c = centers[k0:k0 + _ATOM_CHUNK]
-        a = coeffs[k0:k0 + _ATOM_CHUNK]
-        base = (z[..., None] - np.conj(c)) * (-1j)
-        out += np.sum(a * base ** (-expo), axis=-1)
+    zt = z * -1j
+    ct = np.conj(centers) * -1j
+    n = int(expo) if float(expo).is_integer() \
+        and 2 <= expo <= _EXACT_POWER_MAX else 0
+    rows = max(1, _ATOM_BLOCK // max(centers.size, 1))
+    base = np.empty((min(rows, z.size), centers.size), dtype=np.complex128)
+    term = np.empty_like(base)
+    out = np.empty(z.shape, dtype=np.complex128)
+    for i in range(0, z.size, rows):
+        zb = zt[i:i + rows]
+        b, t = base[:zb.size], term[:zb.size]
+        np.subtract(zb[:, None], ct, out=b)
+        if n:
+            np.reciprocal(b, out=b)
+            np.multiply(b, b, out=t)
+            for _ in range(n - 2):
+                t *= b
+        else:
+            np.power(b, -expo, out=t)
+        t *= coeffs
+        out[i:i + rows] = t.sum(axis=-1)
     return out
 
 

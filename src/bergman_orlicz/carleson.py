@@ -140,6 +140,14 @@ def _int_inv_power(u0, u1, c, m):
     rational term and one arctan2, which keeps its accuracy off the
     interval, where the antiderivatives nearly cancel.  The arrays are
     (points x nodes), so the terms accumulate in place.
+
+    Any other m goes through the integral from 0 to |u| (the head) or from
+    |u| to infinity (the tail), each a regularized incomplete beta
+    function times c**(1-2m) B(m-1/2, 1/2) / 2 and accurate to its last
+    bits: an interval across 0 is the sum of two heads, and one on either
+    side of 0 is the difference of two tails when its near end is past c,
+    of two heads otherwise, so the two terms cancel no more than the
+    interval's length against its distance from 0 makes them.
     """
     if m == 2.0:
         du, p, c2 = u1 - u0, u0 * u1, c * c
@@ -148,10 +156,22 @@ def _int_inv_power(u0, u1, c, m):
         out += np.arctan2(c * du, c2 + p) / c
         out /= 2.0 * c2
         return out
-    from scipy.special import hyp2f1
-    t0, t1 = u0 / c, u1 / c
-    prim = lambda t: t * hyp2f1(0.5, m, 1.5, -t * t)
-    return (prim(t1) - prim(t0)) * c ** (1.0 - 2.0 * m)
+    from scipy.special import beta, betainc
+    near = np.minimum(np.abs(u0), np.abs(u1))
+    far = np.maximum(np.abs(u0), np.abs(u1))
+    across = (u0 < 0.0) & (u1 > 0.0)
+    tails = (near >= c) & ~across
+    a, b = np.where(tails, m - 0.5, 0.5), np.where(tails, 0.5, m - 0.5)
+    c2 = c * c
+
+    def part(u):  # the tail or head from |u|, over its scale
+        u2 = u * u
+        return betainc(a, b, np.where(tails, c2, u2) / (u2 + c2))
+
+    at_near, at_far = part(near), part(far)
+    out = np.where(tails, at_near - at_far,
+                   np.where(across, at_far + at_near, at_far - at_near))
+    return out * (0.5 * beta(m - 0.5, 0.5)) * c ** (1.0 - 2.0 * m)
 
 
 def berezin_fn(mu, alpha=0.0, tol=1e-6):

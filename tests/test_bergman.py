@@ -3,6 +3,9 @@
 Frozen reference numbers come from tools/oracles/integrals_oracle.py.
 """
 
+import tracemalloc
+
+import mpmath
 import numpy as np
 import pytest
 
@@ -266,3 +269,86 @@ def test_atom_sum_json_keeps_gamma():
     assert F2(z) == F(z)
     seq = F.params["seq"]
     assert B.sequence_from_json(B.sequence_to_json(seq)) == seq
+
+
+# ------------------------------------------------------------- atom sums
+
+def _direct_atom_sum(F, z):
+    """The atom sum at one point from mpmath terms at 30 digits, with the
+    sum of the terms' moduli."""
+    expo = mpmath.mpf(F.params["expo"])
+    total, scale = mpmath.mpc(0), mpmath.mpf(0)
+    with mpmath.workdps(30):
+        for c, a in zip(F.params["centers"], F.params["coeffs"]):
+            term = mpmath.mpc(a) * ((mpmath.mpc(z) - mpmath.conj(c)) / 1j) \
+                ** -expo
+            total += term
+            scale += abs(term)
+    return complex(total), float(scale)
+
+
+@pytest.mark.parametrize("alpha", [0.0, 1.0, 0.5])
+def test_atom_sum_matches_direct_sum(alpha):
+    # expo 2 and 3 take the exact integer powers, 2.5 the complex power
+    lat = L.build(0.45, (12, 3))
+    rng = np.random.default_rng(7)
+    keys = sorted(lat.points)
+    pick = rng.choice(len(keys), 40, replace=False)
+    seq = O.LatticeSequence({keys[i]: complex(rng.normal(), rng.normal())
+                             for i in pick}, lat)
+    F = B.atom_sum(seq, alpha)
+    zs = [lat.points[keys[i]].z for i in rng.choice(len(keys), 12)]
+    zs += [0.3 + 1e-3j, -40 + 0.5j, 2 + 30j]
+    got = F(np.array(zs))
+    for z, v in zip(zs, got):
+        ref, scale = _direct_atom_sum(F, z)
+        assert abs(v - ref) <= 1e-13 * scale
+
+
+@pytest.fixture(scope="module")
+def window_atom_sum():
+    """A 1,000-atom sum and the 8,241 points of its lattice window."""
+    lat = L.build(0.45, (100, 20))
+    rng = np.random.default_rng(20261017)
+    keys = sorted(lat.points)
+    pick = rng.choice(len(keys), 1000, replace=False)
+    seq = O.LatticeSequence({keys[i]: complex(rng.normal(), rng.normal())
+                             for i in pick}, lat)
+    zs = np.array([lat.points[k].z for k in L.row_major(lat.points)])
+    return B.atom_sum(seq, 0.0), zs
+
+
+def test_atom_sum_point_values_do_not_depend_on_the_batch(window_atom_sum):
+    F, zs = window_atom_sum
+    whole = F(zs)
+    for i in (0, 1, 2000, 5003, zs.size - 7):
+        part = F(zs[i:i + 7])
+        assert [v.hex() for v in part.view(float)] == \
+            [v.hex() for v in whole[i:i + 7].view(float)]
+        alone = F(zs[i])
+        assert [alone.real.hex(), alone.imag.hex()] == \
+            [whole[i].real.hex(), whole[i].imag.hex()]
+
+
+def test_atom_sum_memory_stays_in_blocks(window_atom_sum):
+    F, zs = window_atom_sum
+    tracemalloc.start()
+    try:
+        F(zs)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
+
+
+def test_atom_sum_keeps_input_shapes():
+    lat = L.build(0.5, (3, 2))
+    F = B.atom_sum(O.LatticeSequence({(0, 0): 1.0, (1, -1): 0.5j}, lat), 0.5)
+    z = np.array([[1j, 0.5 + 2j, -1 + 0.1j], [3j, 0.2j, 1 + 1j]])
+    grid = F(z)
+    assert grid.shape == (2, 3)
+    assert F(z[0]).shape == (3,)
+    assert F(z[0]).tobytes() == grid[0].tobytes()
+    v = F(0.5 + 2j)
+    assert np.ndim(v) == 0 and v == grid[0, 1]
+    assert F(np.array(0.5 + 2j)) == v

@@ -7,6 +7,7 @@ the closed Beta-product forms checked there.
 import json
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -217,6 +218,50 @@ def test_berezin_fn_box_matches_mpmath(y0, tau):
     got = fn(np.array([z for z, _ in rows]))
     ref = np.array([v for _, v in rows])
     assert np.max(np.abs(got - ref) / ref) < 1e-9
+
+
+# (z, value): the same transform of y^-0.5 on Box(0, 1, 2^-9, 1) with
+# alpha = 0.5, so Im(z)^2.5 and |.|^-5, from mpmath at 30 digits
+# (box_transform in tools/oracles/integrals_oracle.py)
+BOX_TRANSFORMS_ALPHA_HALF = [
+    (0.5+0.01j, 36.725861924159792),
+    (1+0.05j, 8.0784826676087764),
+    (-0.7+0.3j, 0.039194803115390145),
+    (2.5+1j, 0.028400049338739302),
+    (0.5+30j, 0.00036644985437072244),
+    (3+40j, 0.00017927977863685483),
+    (11+0.01j, 1.5074513373852733e-10),
+    (100+0.01j, 1.9602676606430234e-15),
+    (1000+0.1j, 6.0601853356936055e-18),
+]
+
+
+def test_berezin_fn_box_with_weight_matches_mpmath():
+    # m = 2.5: the x-integral is two tails far to the side of the box and
+    # two heads above it or across it; a difference of antiderivatives
+    # missed the last three by 4e-6, 13% and a factor of 11
+    fn = C.berezin_fn(valpha_measure(-0.5, Box(0.0, 1.0, 2.0 ** -9, 1.0)),
+                      alpha=0.5)
+    got = fn(np.array([z for z, _ in BOX_TRANSFORMS_ALPHA_HALF]))
+    ref = np.array([v for _, v in BOX_TRANSFORMS_ALPHA_HALF])
+    assert np.max(np.abs(got - ref) / ref) < 1e-9
+
+
+@pytest.mark.parametrize("u0, u1, c, m", [
+    (-100.0, -99.0, 0.02, 2.5),     # two tails
+    (-1000.0, -999.0, 0.6, 2.5),
+    (5.0, 7.0, 1e-4, 3.7),
+    (0.001, 0.002, 1.0, 2.5),       # two heads
+    (-1.5, -0.5, 1000.0, 2.5),
+    (-0.5, 0.5, 10.0, 2.5),         # across 0
+    (-1.0, 0.0, 0.1, 0.75),
+])
+def test_int_inv_power_matches_mpmath(u0, u1, c, m):
+    with mpmath.workdps(30):
+        f = lambda u: (u * u + mpmath.mpf(c) ** 2) ** -mpmath.mpf(m)
+        ref = float(mpmath.quad(f, sorted({u0, min(max(0.0, u0), u1), u1})))
+    got = C._int_inv_power(np.array([u0]), np.array([u1]), np.array([c]), m)
+    assert abs(got[0] - ref) < 1e-12 * ref
 
 
 def test_berezin_fn_box_blocks_are_bit_stable():

@@ -17,30 +17,38 @@ BOX_TAUS = ("-0.8", "-0.5", "-0.2")
 BOX_Y0S = {"2**-9": mp.mpf(2) ** -9, "0": mp.mpf(0)}
 BOX_POINTS = ("0.5+0.01j", "0.03+0.2j", "1+0.05j", "-0.7+0.3j", "2.5+1j",
               "-10+0.01j", "11+0.01j", "11+2j")
+# with alpha = 0.5: near the box, high above it and far to its side
+BOX_ALPHA_POINTS = ("0.5+0.01j", "1+0.05j", "-0.7+0.3j", "2.5+1j",
+                    "0.5+30j", "3+40j", "11+0.01j", "100+0.01j", "1000+0.1j")
 
 
-def box_transform(tau, y0, z):
-    """Im(z)^2 int_{y0}^1 y^tau int_0^1 |x + iy - conj(z)|^-4 dx dy.
+def box_transform(tau, y0, z, alpha=0):
+    """Im(z)^m int_{y0}^1 y^tau int_0^1 |x + iy - conj(z)|^-2m dx dy.
 
-    The inner x-integral is the antiderivative difference at 30 digits.
+    Here m = 2 + alpha.  For alpha = 0 the inner x-integral is the
+    antiderivative difference at 30 digits; for any other alpha it is an
+    mpmath quadrature of its own.
     The outer one runs in t = y^(1+tau), which takes the weight y^tau into
     dt / (1+tau) and leaves no endpoint singularity at y0 = 0; it is split
     at Im(z), the scale of the kernel, and geometrically toward y0.
     """
     x, h = mp.re(z), mp.im(z)
     e = 1 + tau
+    m = 2 + mp.mpf(alpha)
 
     def prim(u, c):
         return u / (2 * c ** 2 * (u ** 2 + c ** 2)) + mp.atan(u / c) / (2 * c ** 3)
 
     def inner(t):
         c = t ** (1 / e) + h
-        return (prim(1 - x, c) - prim(-x, c)) / e
+        if alpha == 0:
+            return (prim(1 - x, c) - prim(-x, c)) / e
+        return mp.quad(lambda u: (u * u + c * c) ** -m, [-x, 1 - x]) / e
 
     lo = y0 if y0 > 0 else mp.mpf(10) ** -30
     cuts = sorted({mp.mpf(y0), h, mp.mpf(1),
                    *(mp.exp(v) for v in mp.linspace(mp.log(lo), 0, 40))})
-    return h ** 2 * mp.quad(inner, [c ** e for c in cuts if y0 <= c <= 1])
+    return h ** m * mp.quad(inner, [c ** e for c in cuts if y0 <= c <= 1])
 
 
 def main():
@@ -128,6 +136,12 @@ def main():
             for z in BOX_POINTS:
                 v = box_transform(mp.mpf(tau), y0, mp.mpc(complex(z)))
                 print(f"    ({y0_text}, {tau}, {z}, {mp.nstr(v, 17)}),")
+
+    print("# the same transform with alpha = 0.5 (m = 2.5) and tau = -0.5")
+    for z in BOX_ALPHA_POINTS:
+        v = box_transform(mp.mpf("-0.5"), BOX_Y0S["2**-9"],
+                          mp.mpc(complex(z)), mp.mpf("0.5"))
+        print(f"    ({z}, {mp.nstr(v, 17)}),")
 
 
 if __name__ == "__main__":
