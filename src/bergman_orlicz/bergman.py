@@ -201,10 +201,12 @@ def atom_sum(seq, alpha=0.0):
         raise ParameterError("atom_sum needs a LatticeSequence")
     lat = seq.lattice
     items = seq.items_sorted()
-    centers = np.array([lat.point(l, j).z for (l, j), _ in items])
+    ls = np.array([l for (l, _), _ in items], dtype=np.int64)
+    js = np.array([j for (_, j), _ in items], dtype=np.int64)
+    centers = np.empty(len(items), dtype=complex)
+    centers.real, centers.imag = lat.coords(ls, js)
     vals = np.array([v for _, v in items], dtype=complex)
-    weights = _lattice.row_weights([j for (_, j), _ in items], lat.gamma,
-                                   alpha)
+    weights = _lattice.row_weights(js, lat.gamma, alpha)
     coefs = ATOM_COEF_BASE ** (alpha + 2.0) * vals * weights
     return AnalyticFn("atom_sum", {
         "seq": seq, "alpha": float(alpha), "centers": centers,
@@ -356,9 +358,10 @@ def sequence_from_json(obj):
         if len(row) != 4:
             raise ParameterError(f"sequence rows are [l, j, re, im]: {row!r}")
         l, j, re, im = row
-        entries[(int(l), int(j))] = complex(re, im)
+        k = (_lattice.as_index(l), _lattice.as_index(j))
+        entries[k] = complex(re, im)
     if "window" in obj:
-        window = (int(obj["window"][0]), int(obj["window"][1]))
+        window = obj["window"]
     else:
         window = (max(abs(k[0]) for k in entries),
                   max(abs(k[1]) for k in entries))

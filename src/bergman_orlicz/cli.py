@@ -87,25 +87,13 @@ def _parse_point(text):
     return HPoint(x, y)
 
 
-def _parse_window(text):
-    parts = [p.strip() for p in text.split(",")]
-    if len(parts) != 2:
-        raise ParameterError(f"--window needs L,J, got {text!r}")
-    try:
-        return int(parts[0]), int(parts[1])
-    except ValueError:
-        raise ParameterError(f"--window has a non-integer entry: {text!r}")
-
-
 def _lattice_from_json(obj):
     if not isinstance(obj, dict) or "delta" not in obj:
         raise ParameterError(f"lattice spec needs a 'delta' key: {obj!r}")
     window = obj.get("window")
     if window is None:
         raise ParameterError("lattice spec needs a 'window' [L, J] pair")
-    return lattice_mod.build(float(obj["delta"]),
-                             (int(window[0]), int(window[1])),
-                             obj.get("gamma"))
+    return lattice_mod.build(float(obj["delta"]), window, obj.get("gamma"))
 
 
 def _json_safe(x):
@@ -187,7 +175,7 @@ def _cmd_lattice(args):
     lat = lattice_mod.build(args.delta, (args.lmax, args.jmax), args.gamma)
     result = {"delta": lat.delta, "gamma": lat.gamma, "s_delta": lat.s_delta,
               "window": [args.lmax, args.jmax],
-              "points_count": len(lat.points)}
+              "points_count": (2 * args.lmax + 1) * (2 * args.jmax + 1)}
     if args.report is not None:
         region = None if args.report == "auto" else region_from_json(
             _load_doc(args.report))
@@ -276,7 +264,9 @@ def _cmd_comp_check(args):
 
 def _cmd_atoms_experiment(args):
     phi = growth.from_json(_load_doc(args.phi))
-    window = _parse_window(args.window) if args.window else (6, 2)
+    window = (6, 2)
+    if args.window:  # lattice.build rejects a non-integral bound
+        window = _parse_floats(args.window, 2, "--window")
     result = atoms.equivalence_experiment(
         phi, args.alpha, args.delta, args.trials, args.seed,
         window=window, support_size=args.support_size)

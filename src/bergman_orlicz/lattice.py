@@ -15,6 +15,9 @@ the plane, the small one of relative radius ``s_delta`` is pairwise
 disjoint across the lattice.  ``covering_report`` verifies all three
 properties numerically on a sampled region.
 
+A lattice stores only its parameters and window; coordinates are
+arithmetic on the window, and ``points`` is a dict built when read.
+
 Indices run in one row-major (j, l) order, ``row_major``, and row ``j``
 carries the weight ``2**(j*gamma*(alpha+2))``, ``row_weights``, in both
 the atom sums and the sequence spaces built on the lattice.
@@ -27,7 +30,8 @@ O(points x rows) and return exactly what testing every pair would.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -39,6 +43,8 @@ from .halfplane import Box, HPoint
 SAMPLING_DELTA_LIMIT = 1.0 / (1.0 + 7.0 * math.sqrt(2.0))
 
 _UNCOVERED_WITNESS_CAP = 20
+
+_INT = (int, np.integer)  # the types of a lattice index
 
 
 def row_major(keys):
@@ -75,55 +81,83 @@ def gamma_interval(delta):
 
 @dataclass(frozen=True)
 class DeltaLattice:
-    """Immutable lattice over the index window |l| <= l_max, |j| <= j_max."""
+    """Immutable lattice over the index window |l| <= l_max, |j| <= j_max;
+    its points are computed from the window, never stored."""
 
     delta: float
     gamma: float
     s_delta: float
     window: tuple
-    points: dict = field(repr=False)
 
     @property
     def sampling_margin_ok(self):
         """Whether delta is small enough for the sampling inequality."""
         return self.delta < SAMPLING_DELTA_LIMIT
 
+    def check_index(self, k):
+        """Raise ParameterError unless k is a pair of ints in the window."""
+        l_max, j_max = self.window
+        if not (type(k) is tuple and len(k) == 2
+                and isinstance(k[0], _INT) and isinstance(k[1], _INT)
+                and abs(k[0]) <= l_max and abs(k[1]) <= j_max):
+            raise ParameterError(f"lattice index must be a pair of ints "
+                                 f"(l, j) in window {self.window}, got {k!r}")
+
+    @cached_property
+    def heights(self):
+        """Row heights 2**(gamma*j), bottom row first, by Python's float
+        pow: numpy's array pow can differ from it in the last bit."""
+        j_max = self.window[1]
+        return tuple(2.0 ** (self.gamma * j)
+                     for j in range(-j_max, j_max + 1))
+
+    def coords(self, ls, js):
+        """Coordinates (xs, ys) of the window's index arrays ls, js."""
+        ys = np.array(self.heights)[js + self.window[1]]
+        return self.delta * self.delta * ls * ys / 8.0, ys
+
     def point(self, l, j):
-        """Lattice point at index (l, j)."""
-        try:
-            return self.points[(l, j)]
-        except KeyError:
-            raise ParameterError(
-                f"index ({l}, {j}) outside window {self.window}") from None
+        """Lattice point at index (l, j), by the arithmetic of `coords`."""
+        self.check_index((l, j))
+        s = self.heights[j + self.window[1]]
+        return HPoint(self.delta * self.delta * int(l) * s / 8.0, s)
 
     def index_arrays(self):
         """All window indices and coordinates as flat arrays, row-major."""
-        keys = row_major(self.points)
-        ls = np.array([k[0] for k in keys], dtype=np.int64)
-        js = np.array([k[1] for k in keys], dtype=np.int64)
-        xs = np.array([self.points[k].x for k in keys])
-        ys = np.array([self.points[k].y for k in keys])
-        return ls, js, xs, ys
+        l_max, j_max = self.window
+        ls = np.tile(np.arange(-l_max, l_max + 1), 2 * j_max + 1)
+        js = np.repeat(np.arange(-j_max, j_max + 1), 2 * l_max + 1)
+        return (ls, js) + self.coords(ls, js)
+
+    @cached_property
+    def points(self):
+        """Window points keyed by (l, j), row-major, built on first read."""
+        return {(l, j): HPoint(x, y) for l, j, x, y in
+                zip(*(a.tolist() for a in self.index_arrays()))}
 
     def covered_mask(self, x, y):
         """Whether points lie in the zone tiled by the window's cells.
 
-        Vectorized over `x`, `y`.  A point belongs to the zone when some
-        window cell contains it, which reduces to index arithmetic on
-        the row bands and the within-row interval union.
+        Vectorized over `x`, `y`.  The cells of a row tile one open
+        rectangle of `_zone_rects`, so the zone is the union of those.
         """
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
-        l_max, j_max = self.window
-        d2 = self.delta * self.delta
         out = np.zeros(np.broadcast(x, y).shape, dtype=bool)
-        half_span = 1.0 + l_max / 2.0
-        for j in range(-j_max, j_max + 1):
-            s = 2.0 ** (self.gamma * j)
-            in_band = ((1 - d2 / 4) * s < y) & (y < (1 + d2 / 4) * s)
-            in_row = np.abs(4.0 * x / (d2 * s)) < half_span
-            out |= in_band & in_row
+        for x0, x1, y0, y1 in _zone_rects(self):
+            out |= (x0 < x) & (x < x1) & (y0 < y) & (y < y1)
         return out
+
+
+def as_index(v):
+    """An index or window bound from outside the program as an int:
+    integral values such as 2.0 pass, any other value is a ParameterError."""
+    try:
+        if int(v) == v:
+            return int(v)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise ParameterError(f"lattice index must be an integer, got {v!r}")
 
 
 def build(delta, window, gamma=None):
@@ -150,18 +184,18 @@ def build(delta, window, gamma=None):
         raise ParameterError(
             f"gamma={gamma} outside the admissible interval "
             f"({lo:.6g}, {hi:.6g}) for delta={delta}")
-    l_max, j_max = int(window[0]), int(window[1])
+    l_max, j_max = as_index(window[0]), as_index(window[1])
     if l_max < 0 or j_max < 0:
         raise ParameterError(f"window bounds must be >= 0, got {window}")
     s_delta = -1.0 + (1.0 + delta * delta / 20.0) ** 0.25
-    d2 = delta * delta
-    points = {}
-    for j in range(-j_max, j_max + 1):
-        s = 2.0 ** (gamma * j)
-        for l in range(-l_max, l_max + 1):
-            points[(l, j)] = HPoint(d2 * l * s / 8.0, s)
-    return DeltaLattice(delta=delta, gamma=gamma, s_delta=s_delta,
-                        window=(l_max, j_max), points=points)
+    lat = DeltaLattice(delta=delta, gamma=gamma, s_delta=s_delta,
+                       window=(l_max, j_max))
+    try:  # no point has a larger |x| or y, or a smaller y, than these two
+        lat.point(l_max, j_max), lat.point(0, -j_max)
+    except OverflowError:
+        raise ParameterError(
+            f"window {window} leaves the float range") from None
+    return lat
 
 
 def cells(lat, l, j):
@@ -174,11 +208,9 @@ def cells(lat, l, j):
         one I_inner x J_inner.  |I| = |J| = (delta**2/2) * row height,
         |I_inner| = (delta**2/10) * row height.
     """
-    l_max, j_max = lat.window
-    if abs(l) > l_max or abs(j) > j_max:
-        raise ParameterError(f"index ({l}, {j}) outside window {lat.window}")
+    lat.check_index((l, j))
     d2 = lat.delta * lat.delta
-    s = 2.0 ** (lat.gamma * j)
+    s = lat.heights[j + lat.window[1]]
     q = d2 / 4.0 * s
     i_big = ((-1 + l / 2.0) * q, (1 + l / 2.0) * q)
     i_small = ((-0.2 + l / 2.0) * q, (0.2 + l / 2.0) * q)
@@ -200,14 +232,19 @@ class CoverageReport:
     seed: int
 
 
+def _zone_rects(lat):
+    """The zone the window's cells tile, as one rectangle (x0, x1, y0, y1)
+    per row band, bottom row first."""
+    s = np.array(lat.heights)
+    d2 = lat.delta * lat.delta
+    xw = d2 / 4.0 * (1 + lat.window[0] / 2.0) * s
+    return np.column_stack([-xw, xw, (1 - d2 / 4) * s, (1 + d2 / 4) * s])
+
+
 def _zone_box(lat):
     """Bounding box of the zone the window's cells tile."""
-    l_max, j_max = lat.window
-    d2 = lat.delta * lat.delta
-    top = 2.0 ** (lat.gamma * j_max)
-    bot = 2.0 ** (-lat.gamma * j_max)
-    xw = d2 / 4.0 * (1 + l_max / 2.0) * top
-    return Box(-xw, xw, (1 - d2 / 4) * bot, (1 + d2 / 4) * top)
+    r = _zone_rects(lat).tolist()
+    return Box(r[-1][0], r[-1][1], r[0][2], r[-1][3])
 
 
 def _sample_zone(lat, region, n, rng):
@@ -220,32 +257,22 @@ def _sample_zone(lat, region, n, rng):
     """
     if region is None or region == "auto":
         region = _zone_box(lat)
-    bbox = region.bbox
-    l_max, j_max = lat.window
-    d2 = lat.delta * lat.delta
-    half_span = d2 / 4.0 * (1 + l_max / 2.0)
-    rects = []
-    for j in range(-j_max, j_max + 1):
-        s = 2.0 ** (lat.gamma * j)
-        x0 = max(-half_span * s, bbox[0])
-        x1 = min(half_span * s, bbox[1])
-        y0 = max((1 - d2 / 4) * s, bbox[2])
-        y1 = min((1 + d2 / 4) * s, bbox[3])
-        if x1 > x0 and y1 > y0:
-            rects.append((x0, x1, y0, y1))
-    if not rects:
+    b = region.bbox
+    r = np.clip(_zone_rects(lat), [b[0], b[0], b[2], b[2]],
+                [b[1], b[1], b[3], b[3]])
+    r = r[(r[:, 1] > r[:, 0]) & (r[:, 3] > r[:, 2])]
+    if not r.size:
         raise ParameterError(
             "sampling region does not meet the window's covered zone")
-    r = np.array(rects)
     areas = (r[:, 1] - r[:, 0]) * (r[:, 3] - r[:, 2])
     probs = areas / areas.sum()
     out_x, out_y, got = [], [], 0
     for _ in range(40):
-        k = rng.choice(len(rects), size=n, p=probs)
+        k = rng.choice(len(r), size=n, p=probs)
         x = r[k, 0] + rng.uniform(size=n) * (r[k, 1] - r[k, 0])
         y = r[k, 2] + rng.uniform(size=n) * (r[k, 3] - r[k, 2])
         mult = np.zeros(n)
-        for x0, x1, y0, y1 in rects:
+        for x0, x1, y0, y1 in r:
             mult += ((x0 <= x) & (x <= x1) & (y0 <= y) & (y <= y1))
         keep = ((rng.uniform(size=n) * mult <= 1.0)
                 & region.contains(x + 1j * y))
@@ -383,8 +410,6 @@ def covering_report(lat, region=None, n_samples=10000, seed=0):
     -------
     CoverageReport
     """
-    if not lat.points:
-        raise ParameterError("empty lattice window")
     _, _, xs, ys = lat.index_arrays()
 
     small = lat.s_delta * ys

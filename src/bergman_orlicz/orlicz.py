@@ -41,7 +41,6 @@ BRACKET_FLOOR = 1e-12
 PROBE_CAP = 1100
 DIVERGENT_PROBE_CAP = 24
 VALUE_CLIP = 1e300
-_INT = (int, np.integer)  # the types of a lattice index
 
 
 @dataclass(frozen=True)
@@ -138,15 +137,8 @@ class LatticeSequence:
         if not isinstance(self.lattice, DeltaLattice):
             raise ParameterError(
                 f"a lattice sequence needs a DeltaLattice, got {self.lattice!r}")
-        l_max, j_max = self.lattice.window
         for k in self.entries:
-            if not (type(k) is tuple and len(k) == 2
-                    and isinstance(k[0], _INT) and isinstance(k[1], _INT)):
-                raise ParameterError(
-                    f"lattice index must be a pair of ints (l, j), got {k!r}")
-            if abs(k[0]) > l_max or abs(k[1]) > j_max:
-                raise ParameterError(
-                    f"index {k} outside lattice window {self.lattice.window}")
+            self.lattice.check_index(k)
 
     def items_sorted(self):
         """Entries in the lattice's (j, l) order."""

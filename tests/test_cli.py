@@ -237,6 +237,33 @@ def test_short_sequence_row_is_a_parameter_error(capsys):
     assert _error_doc(out)["kind"] == "ParameterError"
 
 
+@pytest.mark.parametrize("spec", [
+    {"sequence": [[1.6, 0, 1.0, 0.0]], "delta": 0.5, "window": [2, 1]},
+    {"sequence": [[1, 0, 1.0, 0.0]], "delta": 0.5, "window": [2.5, 1]}])
+def test_non_integral_sequence_index_is_a_parameter_error(capsys, spec):
+    # neither an atom index nor a window bound is truncated to an int
+    with pytest.raises(ParameterError):
+        bergman.sequence_from_json(spec)
+    code, out = _run(capsys, ["synthesize", "--seq", json.dumps(spec),
+                              "--at", "0,1"])
+    assert code == EXIT_VALIDATION
+    assert _error_doc(out)["kind"] == "ParameterError"
+
+
+def test_integral_float_indices_are_accepted(capsys):
+    seq = bergman.sequence_from_json({"sequence": [[1.0, -1.0, 1.0, 0.0]],
+                                      "delta": 0.5, "window": [2.0, 1.0]})
+    assert [tuple(map(type, k)) for k in seq.entries] == [(int, int)]
+    assert list(seq.entries) == [(1, -1)] and seq.lattice.window == (2, 1)
+    for window, code_want in (("[2.0,1.0]", EXIT_OK),
+                              ("[2.5,1]", EXIT_VALIDATION)):
+        code, out = _run(capsys, [
+            "sample", "--fn", '{"const":1.0}', "--lattice",
+            f'{{"delta":0.5,"window":{window}}}', "--no-meta"])
+        assert code == code_want
+    assert _error_doc(out)["kind"] == "ParameterError"
+
+
 def test_growth_spec_missing_key_exits_2(capsys):
     code, out = _run(capsys, [
         "atoms-experiment", "--phi",
@@ -245,6 +272,14 @@ def test_growth_spec_missing_key_exits_2(capsys):
     err = _error_doc(out)
     assert err["kind"] == "ParameterError"
     assert "'a'" in err["detail"]
+
+
+@pytest.mark.parametrize("window", ["2.5,1", "2", "a,1"])
+def test_atoms_experiment_bad_window_exits_2(capsys, window):
+    code, out = _run(capsys, ["atoms-experiment", "--phi", PHI_T2,
+                              "--delta", "0.5", "--window", window])
+    assert code == EXIT_VALIDATION
+    assert _error_doc(out)["kind"] == "ParameterError"
 
 
 def test_atoms_experiment_zero_trials_exits_2(capsys):

@@ -12,6 +12,7 @@ separation gap must match exactly.
 """
 
 import math
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from hypothesis import strategies as st
 from bergman_orlicz import bergman as B
 from bergman_orlicz import lattice as L
 from bergman_orlicz import orlicz as O
-from bergman_orlicz.halfplane import Box, HPoint
+from bergman_orlicz.halfplane import Box
 
 
 def _atom_sum_ref(z, seq, alpha):
@@ -62,8 +63,19 @@ def _cover_count_ref(lat, x, y):
 
 def _with_small_radius(lat, s_delta):
     """The same lattice with relative small-disk radius s_delta."""
-    return L.DeltaLattice(delta=lat.delta, gamma=lat.gamma, s_delta=s_delta,
-                          window=lat.window, points=lat.points)
+    return replace(lat, s_delta=s_delta)
+
+
+@dataclass(frozen=True)
+class _Disks(L.DeltaLattice):
+    """A lattice whose disks sit at given centres: `arrays` is what
+    `index_arrays` returns, and `covering_report` reads centres only
+    through it."""
+
+    arrays: tuple = field(default=(), repr=False, compare=False)
+
+    def index_arrays(self):
+        return self.arrays
 
 
 def _scattered(lat, rng, s_delta, spread=1.0):
@@ -71,10 +83,11 @@ def _scattered(lat, rng, s_delta, spread=1.0):
     widened `spread` times in x, so the extreme pairs fall anywhere in
     the scan order."""
     xs, ys = _centers(lat)
-    points = {k: HPoint(spread * rng.uniform(xs.min(), xs.max()),
-                        rng.uniform(ys.min(), ys.max())) for k in lat.points}
-    return L.DeltaLattice(delta=lat.delta, gamma=lat.gamma, s_delta=s_delta,
-                          window=lat.window, points=points)
+    drawn = np.array([(spread * rng.uniform(xs.min(), xs.max()),
+                       rng.uniform(ys.min(), ys.max())) for _ in xs])
+    ls, js, _, _ = lat.index_arrays()
+    return _Disks(delta=lat.delta, gamma=lat.gamma, s_delta=s_delta,
+                  window=lat.window, arrays=(ls, js, drawn[:, 0], drawn[:, 1]))
 
 
 def _gap_violations(rep):
@@ -271,9 +284,11 @@ def _row_disks(draw):
         ys.append(y)
     order = draw(st.permutations(range(len(xs))))
     # window and gamma only shape the sampling zone, which covers _REGION
-    return L.DeltaLattice(
+    n = len(order)
+    return _Disks(
         delta=0.5, gamma=0.1, s_delta=1.0 / 16.0, window=(64, 5),
-        points={(i, 0): HPoint(xs[k], ys[k]) for i, k in enumerate(order)})
+        arrays=(np.arange(n), np.zeros(n, dtype=np.int64),
+                np.array(xs)[list(order)], np.array(ys)[list(order)]))
 
 
 @settings(derandomize=True, max_examples=60, deadline=None,

@@ -3,6 +3,8 @@
 Frozen reference numbers come from tools/oracles/lattice_oracle.py.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -33,6 +35,57 @@ def test_build_defaults_to_midpoint():
     assert abs(lat.gamma - 0.5 * (GAMMA_LO_05 + GAMMA_HI_05)) < 1e-15
     assert abs(lat.s_delta - S_DELTA_05) < 1e-15
     assert len(lat.points) == 5 * 5
+
+
+def test_window_bounds_validated():
+    # integral floats (from JSON) pass as ints; nothing is truncated, and
+    # rows whose height leaves the float range are rejected
+    lat = L.build(0.5, (2.0, 1.0))
+    assert lat.window == (2, 1) and type(lat.window[0]) is int
+    for window in [(2.7, 1.9), (2, 1.5), ("2", 1), (float("nan"), 1),
+                   (-1, 0), (0, 39000), (0, 90000)]:
+        with pytest.raises(ParameterError):
+            L.build(0.5, window)
+
+
+def _build_ref(delta, window, gamma=None):
+    """The scalar construction: one HPoint per index, row by row, each
+    row height by Python's float pow."""
+    if gamma is None:
+        gamma = 0.5 * sum(L.gamma_interval(delta))
+    d2 = delta * delta
+    points = {}
+    for j in range(-window[1], window[1] + 1):
+        s = 2.0 ** (gamma * j)
+        for l in range(-window[0], window[0] + 1):
+            points[(l, j)] = HPoint(d2 * l * s / 8.0, s)
+    return points
+
+
+def _hex(vals):
+    return [float(v).hex() for v in vals]
+
+
+# at delta 0.45 on (100, 20), numpy's array pow 2.0 ** (gamma * js) is
+# one ulp off Python's pow in two rows, so array heights would fail here
+@pytest.mark.parametrize("delta, window, gamma", [
+    (0.45, (100, 20), None), (0.5, (3, 13), None), (0.3, (0, 4), 0.004),
+    (0.8, (7, 0), None), (0.1, (12, 9), None)])
+def test_coordinates_bit_equal_scalar_construction(delta, window, gamma):
+    ref = _build_ref(delta, window, gamma)
+    lat = L.build(delta, window, gamma)
+    ls, js, xs, ys = lat.index_arrays()
+    assert list(zip(ls.tolist(), js.tolist())) == list(ref)
+    assert _hex(xs) == _hex(p.x for p in ref.values())
+    assert _hex(ys) == _hex(p.y for p in ref.values())
+    got = [lat.point(l, j) for l, j in ref]
+    assert _hex(p.x for p in got) == _hex(p.x for p in ref.values())
+    assert _hex(p.y for p in got) == _hex(p.y for p in ref.values())
+    # the dict view: same keys, same order, same floats, built once
+    assert lat.points is lat.points
+    assert list(lat.points) == list(ref)
+    assert ([(p.x.hex(), p.y.hex()) for p in lat.points.values()]
+            == [(p.x.hex(), p.y.hex()) for p in ref.values()])
 
 
 def test_build_explicit_gamma_validated():
@@ -73,8 +126,12 @@ def test_cell_lengths():
         assert abs((small_i[1] - small_i[0]) - 0.025 * s) < 1e-15
         # cell center sits on the lattice point
         assert abs(0.5 * (big_i[0] + big_i[1]) - lat.point(l, j).x) < 1e-15
-    with pytest.raises(ParameterError):
-        L.cells(lat, 4, 0)
+    # the same index check as lat.point: in the window and integers
+    for l, j in [(4, 0), (0.5, 0), (0, 1.0)]:
+        with pytest.raises(ParameterError):
+            L.cells(lat, l, j)
+        with pytest.raises(ParameterError):
+            lat.point(l, j)
 
 
 def test_small_bands_nested_and_disjoint():
@@ -128,9 +185,7 @@ def test_window_gap_matches_closed_form():
     # reports it (a violation) when negative and otherwise only its sign
     lat = L.build(0.5, (20, 7))
     for k, gap in WINDOW_GAP_05.items():
-        grown = L.DeltaLattice(delta=lat.delta, gamma=lat.gamma,
-                               s_delta=k * lat.s_delta, window=lat.window,
-                               points=lat.points)
+        grown = dataclasses.replace(lat, s_delta=k * lat.s_delta)
         rep = L.covering_report(grown, n_samples=100, seed=0)
         assert rep.disjoint_ok == (gap > 0)
         reported = [v[1] for v in rep.violations if v[0] == "disjointness_gap"]
