@@ -114,7 +114,8 @@ def _crit_decay():
 
 # --------------------------------------------------------------- 3 luxnorm
 def _crit_luxnorm():
-    """Luxembourg solver equals the p-norm for generic power functions."""
+    """Luxembourg solver equals the p-norm for generic power functions, on
+    random densities and on the whole plane against its closed form."""
     rng = np.random.default_rng(331)
     worst = 0.0
     for i in range(20):
@@ -131,14 +132,27 @@ def _crit_luxnorm():
         f = bergman.custom_fn(
             lambda z, c=c, u=u, v=v: c * np.exp(1j * v * np.real(z))
             * (1.0 + u * np.imag(z)))
-        # custom wrapper forces the generic bisection path; a plain power
+        # custom wrapper forces the generic root-finding path; a plain power
         # family would collapse to the very p-norm being checked
         phi_c = growth.custom(lambda t, p=p: t ** p)
         lux = luxembourg(f, mu, phi_c, tol=1e-10).value
         pnorm = modular(f, mu, growth.power(p), tol=1e-12) ** (1.0 / p)
         worst = max(worst, abs(lux - pnorm) / pnorm)
     _require(worst <= 1e-8, f"worst rel {worst:.2e} above 1e-8")
-    return f"20 random densities, p in {{1.5, 2, 3}}: worst rel {worst:.1e}"
+    # the p-norm of decay(0.7, 2) over the whole plane is closed, so this
+    # leg checks the solver against no quadrature of the package's own
+    F = bergman.decay(0.7, 2.0)
+    closed = 0.0
+    for p in (1.5, 2.0, 3.0):
+        lux = luxembourg(F, valpha_measure(0.0),
+                         growth.custom(lambda t, p=p: t ** p)).value
+        exact = bergman.decay_modular_exact(0.7, 2.0, p) ** (1.0 / p)
+        closed = max(closed, abs(lux - exact) / exact)
+    _require(closed <= 1e-8,
+             f"whole-plane closed-form rel {closed:.2e} above 1e-8")
+    return (f"20 random densities, p in {{1.5, 2, 3}}: worst rel {worst:.1e}; "
+            f"whole-plane decay(0.7, 2) against its closed form: worst rel "
+            f"{closed:.1e}")
 
 
 # --------------------------------------------------------------- 4 lattice

@@ -254,7 +254,7 @@ def _disk_chart(disk):
 
 def _seed_values(field, region):
     """Values of a `_chart_field` at the order-8 nodes of the panel on which
-    a modular's bisection seed samples |f|.
+    a modular's root-finding seed samples |f|.
 
     For a Disk that panel is the whole chart, which is also the first
     quadrature panel, so the values are the order-8 tail of its RULE

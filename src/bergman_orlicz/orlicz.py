@@ -6,9 +6,9 @@ Mobius map fixing the half-plane is a density too, with its closed
 weight over the whole plane.  The
 modular of a field f is the integral of Phi(|f|) against the measure;
 the Luxembourg norm is the infimum of scales lambda with
-modular(f/lambda) <= 1, located here by bisection on the strictly
-decreasing map lambda -> modular(f/lambda).  Power-family growth
-functions take the closed p-norm route instead.
+modular(f/lambda) <= 1, located here by safeguarded Illinois steps on the
+decreasing map lambda -> modular(f/lambda) (`_lux_root`).  Power-family
+growth functions take the closed p-norm route instead.
 
 A density modular is an adaptive cubature over the support's chart.  The
 passes of one solve share |f| and the weight on every panel evaluated so
@@ -24,6 +24,7 @@ weights on lattice points, Lebesgue measure on a line), so all three
 norms share one solve and any growth function works on each.
 """
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -173,7 +174,7 @@ class _ComboField(Q.PanelField):
 
     |f| and the weight are two `Field2D`s that only this field asks for
     RULE panels, always both on the same rects, so they store their panels
-    in one order (a Disk's bisection seed asks |f| alone for the first
+    in one order (a Disk's root-finding seed asks |f| alone for the first
     panel of the first pass, which keeps the order).  `batch` computes the
     rects' nodes once for both fields and `blocks()` maps each pair of
     their blocks, both with the same elementwise steps; a pair of blocks
@@ -223,8 +224,8 @@ class _ModularEngine:
     two halves of a split, and the first panels of the next
     `quadrature.STRIP_LOOKAHEAD` graded strips.  A batch is one call of f
     and one of the weight, on nodes computed once for both, and one Phi
-    call.  So a bisection step after the first costs one vectorised step
-    per block of `quadrature.BLOCK_PANELS` panels plus one per batch of
+    call.  So a root-finding probe after the first costs one vectorised
+    step per block of `quadrature.BLOCK_PANELS` panels plus one per batch of
     panels no earlier pass evaluated, with every result bit for bit the
     panel-by-panel one.
     """
@@ -256,7 +257,7 @@ class _ModularEngine:
         return float(_integrate_region(combo, self.mu.support, self.tol))
 
     def start(self, phi):
-        """Bisection seed typ / Phi^-1(1/mass) from the support's V_alpha
+        """Root-finding seed typ / Phi^-1(1/mass) from the support's V_alpha
         mass (1.0 for the whole plane) and a typical value of |f|, its max
         on the support's seed panel (`halfplane._seed_values`); 1.0 when
         either estimate fails."""
@@ -320,11 +321,36 @@ def modular(f, mu, phi, tol=1e-8):
             f"modular diverges under automatic truncation ({e})") from e
 
 
-def _lux_bisect(modular_fn, lam0):
+def _log_or_nan(m):
+    """log m for a finite positive modular, else NaN: an end whose
+    modular is 0, infinite or NaN gives no secant, so the step bisects."""
+    return math.log(m) if 0.0 < m < np.inf else np.nan
+
+
+def _check_decrease(m_lo, m_hi):
+    """Raise unless the modular at a scale is at least the modular at
+    twice that scale, up to float slack; an infinite one is no evidence."""
+    if (np.isfinite(m_lo) and np.isfinite(m_hi)
+            and m_lo < m_hi - 1e-9 * (1.0 + abs(m_lo))):
+        raise BergmanOrliczError(
+            "modular failed to decrease in lambda during bracketing")
+
+
+def _lux_root(modular_fn, lam0):
     """Locate inf{lam : modular_fn(lam) <= 1} for decreasing modular_fn.
 
     A probe whose integral diverges counts as an infinite modular, i.e. a
-    scale that is too small.
+    scale that is too small.  Doubling or halving from lam0 brackets the
+    root with m(lo) > 1 >= m(hi) and hi = 2 lo; each pair of neighbouring
+    probes must decrease.  The bracket then shrinks by Illinois regula
+    falsi on (log lam, log m), where the modular of a growth function of
+    power type is nearly a straight line: the secant of the two ends,
+    with the log modular of an end kept twice in a row halved (Dowell and
+    Jarratt 1971).  A step bisects instead when an end's modular is 0 or
+    infinite, when the secant point is not strictly inside the bracket, or
+    after two secant steps in a row that failed to halve it.  A probe
+    within MODULAR_TARGET_TOL of 1 is returned; otherwise the search ends
+    when the bracket is BRACKET_FLOOR * hi wide and returns hi.
     """
 
     def mod(lam):
@@ -343,6 +369,7 @@ def _lux_bisect(modular_fn, lam0):
     lam = max(lam0, VANISH_LAMBDA * 1e10)
     m = mod(lam)
     iters += 1
+    lo = None
     divergent_run = 1 if np.isinf(m) else 0
     while m > 1.0:
         if np.isinf(m):
@@ -355,37 +382,56 @@ def _lux_bisect(modular_fn, lam0):
         if iters > PROBE_CAP:
             raise NotInSpaceError(
                 "modular stayed above 1 for all probed scales")
+        # doubling is exact, so this probe is the lower end if the next
+        # one is at most 1
+        lo, m_lo = lam, m
         lam *= 2.0
         m = mod(lam)
         iters += 1
+        _check_decrease(m_lo, m)
     hi, m_hi = lam, m
-    lo = hi / 2.0
-    m_lo = mod(lo)
-    iters += 1
-    while m_lo <= 1.0:
-        hi, m_hi = lo, m_lo
-        lo /= 2.0
-        if lo < VANISH_LAMBDA:
-            return LuxResult(0.0, m_hi, iters, (0.0, hi))
+    if lo is None:  # the first probe was at most 1: halve down to the root
+        lo = hi / 2.0
         m_lo = mod(lo)
         iters += 1
+        _check_decrease(m_lo, m_hi)
+        while m_lo <= 1.0:
+            hi, m_hi = lo, m_lo
+            lo /= 2.0
+            if lo < VANISH_LAMBDA:
+                return LuxResult(0.0, m_hi, iters, (0.0, hi))
+            m_lo = mod(lo)
+            iters += 1
+            _check_decrease(m_lo, m_hi)
 
-    if np.isfinite(m_lo) and m_lo < m_hi - 1e-9 * (1.0 + abs(m_lo)):
-        raise BergmanOrliczError(
-            "modular failed to decrease in lambda during bracketing")
-
-    value, m_val = hi, m_hi
+    g_lo, g_hi = _log_or_nan(m_lo), _log_or_nan(m_hi)
+    kept = None  # the end the last step kept
+    slow = 0     # secant steps in a row that failed to halve the bracket
     while hi - lo > BRACKET_FLOOR * hi:
-        mid = 0.5 * (lo + hi)
+        width = hi - lo
+        secant = False
+        if slow < 2 and g_lo > g_hi:
+            mid = lo * (hi / lo) ** (g_lo / (g_lo - g_hi))
+            secant = lo < mid < hi
+        if not secant:
+            mid, slow = 0.5 * (lo + hi), 0
         m_mid = mod(mid)
         iters += 1
         if abs(m_mid - 1.0) <= MODULAR_TARGET_TOL:
             return LuxResult(mid, m_mid, iters, (lo, hi))
         if m_mid > 1.0:
-            lo = mid
+            lo, m_lo, g_lo = mid, m_mid, _log_or_nan(m_mid)
+            if kept == "hi":
+                g_hi *= 0.5
+            kept = "hi"
         else:
-            hi, value, m_val = mid, mid, m_mid
-    return LuxResult(value, m_val, iters, (lo, hi))
+            hi, m_hi, g_hi = mid, m_mid, _log_or_nan(m_mid)
+            if kept == "lo":
+                g_lo *= 0.5
+            kept = "lo"
+        if secant:
+            slow = slow + 1 if hi - lo > 0.5 * width else 0
+    return LuxResult(hi, m_hi, iters, (lo, hi))
 
 
 def _solve(modular_at, phi, start):
@@ -393,11 +439,11 @@ def _solve(modular_at, phi, start):
 
     Power growth functions use the exact p-norm identity: one pass at
     growth t**p, whose divergence means f is not in the space, plus one
-    at the value for the reported modular.  Everything else is bisection
-    from the scale that the thunk `start` returns.
+    at the value for the reported modular.  Everything else is root-found
+    by `_lux_root` from the scale that the thunk `start` returns.
     """
     if phi.family != "power":
-        return _lux_bisect(lambda lam: modular_at(phi, lam), start())
+        return _lux_root(lambda lam: modular_at(phi, lam), start())
     p, coef = phi.params["p"], phi.params["coef"]
     try:
         s = modular_at(_power(p), 1.0)
@@ -414,9 +460,9 @@ def luxembourg(f, mu, phi, tol=1e-8):
     """Luxembourg norm of f in the Orlicz space of the measure.
 
     Power growth functions use the exact p-norm identity; everything
-    else is bisection on the modular.  The result's modular sits within
-    1e-8 of 1 whenever the value is positive and the modular is
-    continuous at it.
+    else is root-found on the modular (`_lux_root`).  The result's modular
+    sits within 1e-8 of 1 whenever the value is positive and the modular
+    is continuous at it.
 
     Returns
     -------
@@ -461,7 +507,7 @@ def hardy_norm(F, phi, y_grid=None, tol=1e-8):
     Each line norm goes through the same solve as `luxembourg`, with
     Lebesgue measure on the line, so any growth function works: power
     growth takes the p-norm identity (and one more line integral for the
-    modular at the value), anything else bisects from scale 1.
+    modular at the value), anything else is root-found from scale 1.
 
     Parameters
     ----------

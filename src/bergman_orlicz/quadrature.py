@@ -182,26 +182,51 @@ class PanelField:
         return _table(self)
 
 
-class Field2D(PanelField):
-    """Vectorized scalar field with per-panel node-value caching.
+class _FnField(PanelField):
+    """A vectorized fn(x) or fn(x, y) as a field with no cache.
 
-    A panel rect is (x0, x1) for a 1-D field fn(x) or (x0, x1, y0, y1) for
-    a 2-D field fn(x, y).  fn is called once per `values(rect, rule)` miss,
-    on the flat nodes of every order of the rule (`_panel_nodes`), and once
-    per `batch(rects)` with a miss, on the flat RULE nodes of every missed
-    rect, one rect after another.  The cache is keyed on the exact rect and
-    rule, so repeated integrations over the same panel geometry (e.g. the
-    modular passes of one Luxembourg solve) never re-evaluate the base
-    field.  A RULE panel's values are written into the next row of an
-    append-only block of BLOCK_PANELS rows, and its cache entry is that
-    row; `blocks()` yields the filled rows with their rects, in the order
-    the panels were first asked for.  It is the one cached field type of
-    both dimensions; it keeps its 2-D name because perfbench/tracer.py
-    counts its evaluations under it.
+    A panel rect is (x0, x1) for a 1-D fn or (x0, x1, y0, y1) for a 2-D one.
+    fn is called once per `values(rect, rule)`, on the flat nodes of every
+    order of the rule (`_panel_nodes`), and once per `batch(rects)`, on the
+    flat RULE nodes of every rect, one rect after another.  It serves the
+    one-shot integrals of `integrate_1d`, which never revisit a panel.
     """
 
     def __init__(self, fn):
         self.fn = fn
+
+    def values(self, rect, rule):
+        return self._eval(_panel_nodes(rect, rule))
+
+    def batch(self, rects, nodes=None):
+        return self._eval(_batch_nodes(rects) if nodes is None else nodes)
+
+    def _eval(self, nodes):
+        """fn on the flattened node arrays, shaped as they are."""
+        flat = [a.ravel() for a in nodes]
+        vals = np.asarray(self.fn(*flat))
+        if vals.shape != flat[0].shape:  # a constant fn gives one value
+            vals = np.broadcast_to(vals, flat[0].shape)
+        return vals.reshape(nodes[0].shape)
+
+
+class Field2D(_FnField):
+    """A `_FnField` with per-panel node-value caching.
+
+    fn is called as for `_FnField`, but only on panels not asked for
+    before.  The cache is keyed on the exact rect and rule, so repeated
+    integrations over the same panel geometry (e.g. the modular passes of
+    one Luxembourg solve) never re-evaluate the base field.  A RULE panel's
+    values are written into the next row of an append-only block of
+    BLOCK_PANELS rows, and its cache entry is that row; `blocks()` yields
+    the filled rows with their rects, in the order the panels were first
+    asked for.  It is the one cached field type of both dimensions; it
+    keeps its 2-D name because perfbench/tracer.py counts its evaluations
+    under it.
+    """
+
+    def __init__(self, fn):
+        super().__init__(fn)
         self._cache = {}
         self._blocks = []  # (rects, (BLOCK_PANELS, n) array) pairs
         self._rects = self._block = None  # the last pair, rows being filled
@@ -213,8 +238,7 @@ class Field2D(PanelField):
         if rule == RULE:
             self.batch((rect,))
             return self._cache[key]
-        vals = self._eval(_panel_nodes(rect, rule))
-        self._cache[key] = vals
+        vals = self._cache[key] = super().values(rect, rule)
         return vals
 
     def batch(self, rects, nodes=None):
@@ -227,21 +251,12 @@ class Field2D(PanelField):
         cache = self._cache
         new = [r for r in rects if (r, RULE) not in cache]
         if new:
-            if nodes is None or len(new) < len(rects):
-                nodes = _batch_nodes(new)
-            vals = self._eval(nodes)
+            shared = nodes if len(new) == len(rects) else None
+            vals = super().batch(new, shared)
             self._store(new, vals)
             if len(new) == len(rects):
                 return vals
         return np.array([cache[r, RULE] for r in rects])
-
-    def _eval(self, nodes):
-        """fn on the flattened node arrays, shaped as they are."""
-        flat = [a.ravel() for a in nodes]
-        vals = np.asarray(self.fn(*flat))
-        if vals.shape != flat[0].shape:  # a constant fn gives one value
-            vals = np.broadcast_to(vals, flat[0].shape)
-        return vals.reshape(nodes[0].shape)
 
     def _store(self, rects, vals):
         """Copy the (k, n) RULE rows of k rects into the next free block
@@ -347,7 +362,7 @@ def integrate_1d(f, a, b, tol=1e-10):
     f : callable or field
         A vectorized callable (float ndarray in, same shape out) or a
         `PanelField` on 1-D rects (a, b); a callable is wrapped in a
-        `Field2D`.
+        `_FnField`, as no panel of one integral is evaluated twice.
     a, b : float
         Endpoints, a <= b.
     tol : float
@@ -357,7 +372,7 @@ def integrate_1d(f, a, b, tol=1e-10):
     -------
     (value, err_estimate)
     """
-    value, _, err = _adapt(Field2D(f) if callable(f) else f, (a, b), tol)
+    value, _, err = _adapt(_FnField(f) if callable(f) else f, (a, b), tol)
     return value, err
 
 

@@ -9,6 +9,8 @@ from bergman_orlicz import orlicz as O
 from bergman_orlicz import quadrature as Q
 from bergman_orlicz.errors import AccuracyError, DivergenceError
 
+import quad_oracles as QO
+
 
 def test_gauss_exact_on_polynomials():
     # a single order-16 panel integrates degree 31 exactly
@@ -340,10 +342,32 @@ def test_bits_disk_polar_chart():
     assert v.hex() == "0x1.16feb50d5eb97p-1"
     mu = O.valpha_measure(0.0, H.Disk(H.HPoint(0.0, 1.0), 0.5))
     r = O.luxembourg(lambda z: 1.0 / np.abs(z + 1j), mu, G.power_log(2, 1, 2))
-    assert r.value.hex() == "0x1.e9783f7198970p-2"
+    # nested QUADPACK on the disk puts the modular at the value within 1e-8
+    # of 1 before the bits are compared
+    assert abs(QO.disk_modular(QO.power_log(2, 1, 2),
+                               lambda x, y: 1.0 / np.hypot(x, y + 1) / r.value,
+                               0.0, 1.0, 0.5) - 1.0) <= 1e-8
+    assert r.value.hex() == "0x1.e9783f7691185p-2"
 
 
 def test_bits_hardy_norm_line():
     sup, _ = O.hardy_norm(lambda z: np.abs(1.0 - 1j * z) ** -3.0,
                           G.power_log(2, 1, 2), y_grid=[0.5])
-    assert sup.hex() == "0x1.8998f64000000p-2"
+    # |F(x + 0.5i)| = (2.25 + x^2)^-1.5; QUADPACK on the line puts the
+    # modular at the value within 1e-8 of 1 before the bits are compared
+    assert abs(QO.line_modular(QO.power_log(2, 1, 2),
+                               lambda x: (2.25 + x * x) ** -1.5 / sup)
+               - 1.0) <= 1e-8
+    assert sup.hex() == "0x1.8998f63822e60p-2"
+
+
+def test_one_shot_integrals_keep_their_bits():
+    # `integrate_1d` of a plain callable runs on an uncached field; the Dini
+    # integrals of a regularity report and a disk's V_alpha mass keep the
+    # bits they had on the caching field
+    rep = G.regularity_report(G.power_log(2, 1, 2))
+    assert rep.nabla2[0] and rep.nabla2[1].hex() == "0x1.fffff3e4d6d9ap-1"
+    disk = H.Disk(H.HPoint(0.3, 1.0), 0.6)
+    assert [H.disk_measure(disk, a).hex() for a in (0.5, -0.5, 2.5)] == [
+        "0x1.1e1012765600cp+0", "0x1.2ce409aab1db1p+0", "0x1.5232cd62abf7dp+0"]
+
