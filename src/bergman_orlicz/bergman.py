@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import lattice as _lattice
-from .errors import ParameterError
+from .errors import ParameterError, need
 from .growth import inverse_vec as _phi_inverse_vec
 from .halfplane import HPoint, integrate as _integrate, plane_power_integral
 from .orlicz import LatticeSequence, luxembourg, valpha_measure
@@ -324,16 +324,16 @@ def fn_from_json(obj):
     if "kernel" in obj or "normalized_kernel" in obj:
         key = "kernel" if "kernel" in obj else "normalized_kernel"
         d = obj[key]
-        w = HPoint(float(d["wx"]), float(d["wy"]))
+        w = HPoint(float(need(d, "wx", key)), float(need(d, "wy", key)))
         make = kernel_fn if key == "kernel" else normalized_kernel_fn
         return make(w, float(d.get("alpha", 0.0)))
     if "g" in obj:
         d = obj["g"]
-        return decay(float(d["eps"]), float(d["m"]))
+        return decay(float(need(d, "eps", "g")), float(need(d, "m", "g")))
     if "const" in obj:
         d = obj["const"]
         if isinstance(d, (list, tuple)):
-            return const_fn(complex(d[0], d[1]))
+            return const_fn(complex(*need(obj, "const", "const", 2)))
         return const_fn(d)
     if "atoms" in obj:
         d = obj["atoms"]
@@ -354,10 +354,8 @@ def sequence_from_json(obj):
     if not rows:
         raise ParameterError("atom sequence must be nonempty")
     entries = {}
-    for row in rows:
-        if len(row) != 4:
-            raise ParameterError(f"sequence rows are [l, j, re, im]: {row!r}")
-        l, j, re, im = row
+    for i in range(len(rows)):
+        l, j, re, im = need(rows, i, "sequence row [l, j, re, im]", 4)
         k = (_lattice.as_index(l), _lattice.as_index(j))
         entries[k] = complex(re, im)
     if "window" in obj:

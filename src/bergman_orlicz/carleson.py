@@ -336,11 +336,13 @@ class EmbeddingVerdict:
     """Bundle of embedding evidence.
 
     condition18 holds the admissibility check on the growth pair with
-    its constant; berezin_in_phi3 is the decidable membership side;
+    its constant; berezin_in_phi3 is the decidable membership side,
+    (member, lux_value), or (None, None) when condition (18) fails;
     empirical_ratio is the worst norm ratio over the test family; and
     boundary_growth compares worst ratios between the outermost and
     innermost Im(w) decades of the kernel family (stable embeddings
-    stay within a factor ~2, failures blow up by 10+).
+    stay within a factor ~2, failures blow up by 10+), or is None with
+    no kernels or no nonzero inner ratio.
     """
 
     condition18: tuple
@@ -348,19 +350,23 @@ class EmbeddingVerdict:
     berezin_in_phi3: tuple
     empirical_ratio: float
     test_family_size: int
-    boundary_growth: float
+    boundary_growth: float | None
 
 
 def verdict_to_json(v):
+    member, lux = v.berezin_in_phi3
+    bg = v.boundary_growth
     return {
         "condition18": {"holds": bool(v.condition18[0]),
                         "constant": float(v.condition18[1])},
         "ratio_monotone": bool(v.ratio_monotone),
-        "berezin_in_phi3": {"member": bool(v.berezin_in_phi3[0]),
-                            "lux_value": float(v.berezin_in_phi3[1])},
+        "berezin_in_phi3": (
+            {"member": None, "lux_value": None,
+             "reason": "condition (18) fails"} if member is None
+            else {"member": bool(member), "lux_value": float(lux)}),
         "empirical_ratio": float(v.empirical_ratio),
         "test_family_size": int(v.test_family_size),
-        "boundary_growth": float(v.boundary_growth),
+        "boundary_growth": None if bg is None else float(bg),
     }
 
 
@@ -393,10 +399,8 @@ def embedding_test(mu, phi1, phi2, alpha=0.0, family_spec=None, seed=0,
     transform-membership side, and the worst observed ratio.
     """
     holds, constant, monotone = growth.embedding_condition_check(phi1, phi2)
-    if holds:
-        member = berezin_membership(mu, phi1, phi2, alpha, tol=tol)
-    else:
-        member = (False, float("nan"))
+    member = (berezin_membership(mu, phi1, phi2, alpha, tol=tol) if holds
+              else (None, None))
 
     members = _build_family(family_spec, alpha, seed)
     ratios, kernel_rows = [], []
@@ -409,7 +413,7 @@ def embedding_test(mu, phi1, phi2, alpha=0.0, family_spec=None, seed=0,
             kernel_rows.append((y, r))
     empirical = float(np.max(ratios))
 
-    boundary_growth = float("nan")
+    boundary_growth = None
     if kernel_rows:
         ys = np.array([y for y, _ in kernel_rows])
         rs = np.array([r for _, r in kernel_rows])

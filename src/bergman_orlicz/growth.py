@@ -13,10 +13,12 @@ iteration count, so results are reproducible bit-for-bit.
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
-from .errors import DivergenceError, OverflowBracketError, ParameterError
+from .errors import (DivergenceError, OverflowBracketError, ParameterError,
+                     need)
 from .quadrature import _sum_tail, integrate_1d
 
 GRID_POINTS = 400
@@ -516,24 +518,18 @@ def from_json(obj):
     if not isinstance(obj, dict) or "family" not in obj:
         raise ParameterError(f"not a growth-function spec: {obj!r}")
     fam = obj["family"]
-
-    def need(key):
-        if key not in obj:
-            raise ParameterError(
-                f"growth-function family {fam!r} needs the key {key!r}")
-        return obj[key]
-
+    get = partial(need, obj, what=f"growth-function family {fam!r}")
     if fam == "power":
-        return power(float(need("p")), coef=float(obj.get("coef", 1.0)))
+        return power(float(get("p")), coef=float(obj.get("coef", 1.0)))
     if fam == "power_log":
-        return power_log(float(need("p")), float(need("a")), float(need("c")))
+        return power_log(float(get("p")), float(get("a")), float(get("c")))
     if fam == "conjugate":
-        return conjugate_of(from_json(need("of")))
+        return conjugate_of(from_json(get("of")))
     if fam == "composed_inverse":
-        return composed_inverse(from_json(need("outer")),
-                                from_json(need("inner")))
+        return composed_inverse(from_json(get("outer")),
+                                from_json(get("inner")))
     if fam == "power_transform":
-        return power_transform(from_json(need("base")), float(need("s")))
+        return power_transform(from_json(get("base")), float(get("s")))
     raise ParameterError(f"unknown growth-function family {fam!r}")
 
 

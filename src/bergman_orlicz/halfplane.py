@@ -16,13 +16,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DivergenceError, DomainError, ParameterError
+from .errors import DivergenceError, DomainError, ParameterError, need
 from .quadrature import (
     ORDER_HIGH,
     ORDER_LOW,
     RULE,
     Field2D,
-    PanelField,
+    MappedField,
     _batch_nodes,
     integrate_1d,
     integrate_box,
@@ -271,18 +271,9 @@ def _seed_values(field, region):
     return field.values(panel, (ORDER_LOW,))
 
 
-class _PolarArea(PanelField):
-    """Values of a polar chart field times the area element R."""
-
-    def __init__(self, field):
-        self.field = field
-
-    def batch(self, rects):
-        return self.field.batch(rects) * _batch_nodes(rects)[0]
-
-    def blocks(self):
-        for rects, vals in self.field.blocks():
-            yield rects, vals * _batch_nodes(rects)[0]
+def _polar_area(rects, rows):
+    """Rows of a polar chart field times the area element R."""
+    return rows * _batch_nodes(rects)[0]
 
 
 def _integrate_region(field, region, tol):
@@ -294,8 +285,8 @@ def _integrate_region(field, region, tol):
     if region is None:
         value, _, _ = integrate_halfplane(field, tol=tol)
     elif isinstance(region, Disk):
-        value, _, _ = integrate_box(_PolarArea(field), _disk_chart(region),
-                                    tol=tol)
+        value, _, _ = integrate_box(MappedField(field, _polar_area),
+                                    _disk_chart(region), tol=tol)
     elif isinstance(region, StripUnion):
         value = sum(_integrate_region(field, box, tol) for box in region.boxes)
     elif isinstance(region, Box) and region.y_min == 0:
@@ -343,14 +334,15 @@ def region_from_json(obj):
     if not isinstance(obj, dict) or len(obj) != 1:
         raise ParameterError(f"malformed region spec: {obj!r}")
     if "box" in obj:
-        x0, x1, y0, y1 = (float(v) for v in obj["box"])
-        return Box(x0, x1, y0, y1)
+        return Box(*(float(v) for v in need(obj, "box", "box", 4)))
     if "carleson" in obj:
         c = obj["carleson"]
-        return CarlesonSquare(float(c["center"]), float(c["length"]))
+        return CarlesonSquare(*(float(need(c, k, "carleson"))
+                                for k in ("center", "length")))
     if "disk" in obj:
         d = obj["disk"]
-        return Disk(HPoint(float(d["cx"]), float(d["cy"])), float(d["s"]))
+        cx, cy, s = (float(need(d, k, "disk")) for k in ("cx", "cy", "s"))
+        return Disk(HPoint(cx, cy), s)
     raise ParameterError(f"unknown region variant {list(obj)[0]!r}")
 
 

@@ -31,7 +31,7 @@ import numpy as np
 
 from . import quadrature as Q
 from .errors import (AccuracyError, BergmanOrliczError, DivergenceError,
-                     NotInSpaceError, ParameterError)
+                     NotInSpaceError, ParameterError, need)
 from .growth import inverse as _phi_inverse, power as _power
 from .halfplane import HPoint, _chart_field, _integrate_region, _seed_values
 from .lattice import DeltaLattice, row_major, row_weights
@@ -169,64 +169,50 @@ class LuxResult:
     bracket: tuple
 
 
-class _ComboField(Q.PanelField):
-    """Panel values Phi(|f|/lambda) * weight, both factors cached.
+def _pack(absf, w):
+    """|f| and the weight at the same nodes as one complex array, |f| the
+    real part and the weight the imaginary part, both exact."""
+    out = np.empty(np.broadcast_shapes(np.shape(absf), np.shape(w)), complex)
+    out.real = absf
+    out.imag = w
+    return out
 
-    |f| and the weight are two `Field2D`s that only this field asks for
-    RULE panels, always both on the same rects, so they store their panels
-    in one order (a Disk's root-finding seed asks |f| alone for the first
-    panel of the first pass, which keeps the order).  `batch` computes the
-    rects' nodes once for both fields and `blocks()` maps each pair of
-    their blocks, both with the same elementwise steps; a pair of blocks
-    that holds different rects is left to `batch`.
-    """
 
-    def __init__(self, absf, wt, phi, lam):
-        self._absf = absf
-        self._wt = wt
-        self._phi = phi
-        self._lam = lam
+def _phi_step(phi, lam):
+    """Rows of packed |f| + i w to min(Phi(|f|/lam) * w, VALUE_CLIP): the
+    map of one modular pass, as a `quadrature.MappedField` takes it."""
 
-    def batch(self, rects):
-        nodes = Q._batch_nodes(rects)
-        return self._combine(self._absf.batch(rects, nodes),
-                             self._wt.batch(rects, nodes))
-
-    def blocks(self):
-        for (rects, a), (w_rects, w) in zip(self._absf.blocks(),
-                                            self._wt.blocks()):
-            if rects == w_rects:
-                yield rects, self._combine(a, w)
-
-    def _combine(self, a, w):
+    def g(rects, rows):
         # clip the integrand, not Phi alone: y^alpha with alpha < 0 lifts a
         # clipped Phi past the float range near y = 0.  Where the weight is
         # 0 so is the integrand, even where Phi overflowed to inf.
-        v = self._phi(a.ravel() / self._lam)
-        w = w.ravel()
+        v = phi((rows.real / lam).ravel())
+        w = rows.imag.ravel()
         if not w.all():
             v = np.where(w == 0, 0.0, v)
-        return np.minimum(v * w, VALUE_CLIP).reshape(a.shape)
+        return np.minimum(v * w, VALUE_CLIP).reshape(rows.shape)
+
+    return g
 
 
 class _ModularEngine:
     """Evaluates lambda -> modular(f/lambda) for one (f, measure) pair.
 
     An atomic measure is a discrete sum over its atoms.  A density keeps
-    |f| and the weight as two `Field2D`s on the support's chart, which
-    store the node values of every quadrature panel they evaluate as rows
-    of append-only blocks (see `quadrature`).  Each modular pass builds a
-    fresh `_ComboField` at its lambda; its first integrated panel maps the
-    stored blocks through Phi, the zero-weight mask, the clip and (for a
-    Disk) the polar factor R, and row-sums them into a table of every
-    known panel's (value, abs_value, err).  The pass's adaptive walk reads
-    known panels from that table and evaluates the others in batches: the
-    two halves of a split, and the first panels of the next
-    `quadrature.STRIP_LOOKAHEAD` graded strips.  A batch is one call of f
-    and one of the weight, on nodes computed once for both, and one Phi
-    call.  So a root-finding probe after the first costs one vectorised
-    step per block of `quadrature.BLOCK_PANELS` panels plus one per batch of
-    panels no earlier pass evaluated, with every result bit for bit the
+    one `Field2D` on the support's chart whose node values pack |f| and
+    the weight (`_pack`); it stores the values of every quadrature panel it
+    evaluates as rows of append-only blocks (see `quadrature`).  Each
+    modular pass maps that store through `_phi_step` at its lambda, a
+    fresh `quadrature.MappedField` (times the polar factor R for a Disk);
+    its first integrated panel maps the stored blocks and row-sums them
+    into a table of every known panel's (value, abs_value, err).  The
+    pass's adaptive walk reads known panels from that table and evaluates
+    the others in batches: the two halves of a split, and the first panels
+    of the next `quadrature.STRIP_LOOKAHEAD` graded strips.  A batch is one
+    call of f and the weight and one Phi call.  So a root-finding probe
+    after the first costs one vectorised step per block of
+    `quadrature.BLOCK_PANELS` panels plus one per batch of panels no
+    earlier pass evaluated, with every result bit for bit the
     panel-by-panel one.
     """
 
@@ -238,23 +224,22 @@ class _ModularEngine:
             self.fvals = _finite_abs(np.asarray(f(pts), dtype=complex))
             self.masses = np.array([m for _, m in mu.atoms])
             return
-        support, wfun, alpha = mu.support, mu.weight, mu.alpha_base
+        wfun, alpha = mu.weight, mu.alpha_base
 
-        def wt(x, y):
+        def packed(x, y):
+            z = x + 1j * y
             w = y ** alpha if alpha != 0.0 else np.ones_like(y)
             if wfun is not None:
-                w = w * wfun(x + 1j * y)
-            return w
+                w = w * wfun(z)
+            return _pack(_finite_abs(f(z)), w)
 
-        self.absf = _chart_field(lambda x, y: _finite_abs(f(x + 1j * y)),
-                                 support)
-        self.wt = _chart_field(wt, support)
+        self.field = _chart_field(packed, mu.support)
 
     def modular_at(self, phi, lam):
         if self.mu.atoms:
             return _discrete_modular(self.fvals, self.masses, phi, lam)
-        combo = _ComboField(self.absf, self.wt, phi, lam)
-        return float(_integrate_region(combo, self.mu.support, self.tol))
+        mapped = Q.MappedField(self.field, _phi_step(phi, lam))
+        return float(_integrate_region(mapped, self.mu.support, self.tol))
 
     def start(self, phi):
         """Root-finding seed typ / Phi^-1(1/mass) from the support's V_alpha
@@ -268,7 +253,7 @@ class _ModularEngine:
         else:
             s = mu.support
             mass = 1.0 if s is None else s.mass(mu.alpha_base)
-            typ = float(_seed_values(self.absf, s).max())
+            typ = float(_seed_values(self.field, s).real.max())
         if mass > 0 and typ > 0:
             try:
                 y = _phi_inverse(phi, 1.0 / mass)
@@ -531,14 +516,12 @@ def hardy_norm(F, phi, y_grid=None, tol=1e-8):
 
     per_line = []
     for y in ys:
-        # one unit weight per line, so that it stores the line's panels in
-        # the order |F| does (see `_ComboField`)
-        absf = Q.Field2D(lambda x: _finite_abs(F(x + 1j * y)))
-        unit = Q.Field2D(np.ones_like)
+        # |F| with unit weight, packed as a density's field is
+        field = Q.Field2D(lambda x: _pack(_finite_abs(F(x + 1j * y)), 1.0))
 
         def line_modular(psi, lam):
-            combo = _ComboField(absf, unit, psi, lam)
-            return float(Q.integrate_1d_line(combo, tol=tol)[0])
+            mapped = Q.MappedField(field, _phi_step(psi, lam))
+            return float(Q.integrate_1d_line(mapped, tol=tol)[0])
 
         try:
             per_line.append((y, _solve(line_modular, phi, lambda: 1.0).value))
@@ -559,8 +542,11 @@ def measure_from_json(obj):
     if not isinstance(obj, dict) or len(obj) != 1:
         raise ParameterError(f"malformed measure spec: {obj!r}")
     if "atomic" in obj:
+        rows = obj["atomic"]
         return atomic_measure(
-            [(HPoint(row[0], row[1]), row[2]) for row in obj["atomic"]])
+            [(HPoint(x, y), m) for x, y, m in
+             (need(rows, i, "atomic row [x, y, mass]", 3)
+              for i in range(len(rows)))])
     if "density" in obj:
         d = obj["density"]
         if d.get("kind", "valpha") != "valpha":
@@ -569,7 +555,7 @@ def measure_from_json(obj):
         return valpha_measure(float(d.get("alpha", 0.0)), support)
     if "mobius" in obj:
         m = obj["mobius"]
-        return mobius_measure(m["a"], m["b"], m["c"], m["d"],
+        return mobius_measure(*(need(m, k, "mobius") for k in "abcd"),
                               m.get("beta", 0.0))
     raise ParameterError(f"unknown measure variant {list(obj)[0]!r}")
 

@@ -3,29 +3,29 @@
 One panel rule and one driver serve both dimensions.  A panel is a rect of
 one or two intervals; its rule is the tensor Gauss rule of order 16, and
 the error estimate compares it with the order-8 companion on the same
-panel.  A field is asked once per panel for both orders: `values(rect,
-RULE)` returns the order-16 tensor values and then the order-8 ones as one
-flat array, on nodes that are two affine maps of reference nodes built once
+panel.  A field is asked once per panel for both orders: a panel's RULE
+values are the order-16 tensor values and then the order-8 ones as one
+flat row, on nodes that are two affine maps of reference nodes built once
 per rule (`_rule`).  The driver, `_adapt`, refines worst-first with a
 sequence-number tie-break, so results are bit-stable for a fixed integrand.
 
 Fields are `PanelField`s.  `batch(rects)` returns the RULE values of k
-rects as (k, n) rows; a `Field2D` evaluates the ones it has not cached in
-one call of its function, on the nodes of all of them at once, and caches
-per (panel, rule) in either dimension.  It keeps every RULE panel's values
-as one row of an append-only block of BLOCK_PANELS rows: the cache entry is
-a view of that row, not a second array.  `blocks()` hands the stored rows
-on, block by block, so a field that maps node values elementwise
-(`orlicz._ComboField`, `halfplane._PolarArea`) maps a whole block, or a
-whole batch, in one call.  A field's `known` table holds the (value,
-abs_value, err) of every panel stored when it is first integrated, summed
-block-wise in `_table`, and `_panels` adds each panel it evaluates; the
-row sums of `_sums` are bit for bit those of one panel.  `_panels` answers
-known panels from the table and evaluates the others in one batch: `_adapt`
-asks for both halves of a split at once, and a graded strip chain asks for
-the first panels of its next STRIP_LOOKAHEAD strips at once.  A Luxembourg
-solve makes one field per modular pass, so a pass after the first re-sums
-the panels of the passes before it in one vectorised step per block.
+rects as (k, n) rows.  A `Field2D` is the one store: it evaluates the rects
+it has not cached in one call of its function, on all their nodes at once,
+and keeps each RULE panel's values as one row of an append-only block of
+BLOCK_PANELS rows (the cache entry is a view of that row).  `blocks()`
+hands the stored rows on, block by block, and a `MappedField` maps them,
+or a batch, through one function of the rows: a modular pass's Phi step
+(`orlicz`) or a polar chart's area factor R (`halfplane`).  A field's
+`known` table holds the (value, abs_value, err) of every panel stored when
+it is first integrated, summed block-wise in `_table`, and `_panels` adds
+each panel it evaluates; the row sums of `_sums` are bit for bit those of
+one panel.  `_panels` answers known panels from the table and evaluates
+the others in one batch: `_adapt` asks for both halves of a split at once,
+and a graded strip chain asks for the first panels of its next
+STRIP_LOOKAHEAD strips at once.  A Luxembourg solve maps its one store
+afresh for each modular pass, so a pass after the first re-sums the panels
+of the passes before it in one vectorised step per block.
 
 Improper integrals (the real line, boundary singularities y^a with a > -1,
 the half-plane) are cut into doubling shells or strips halving toward y = 0,
@@ -158,21 +158,17 @@ def _table(field):
 class PanelField:
     """A field `_adapt` integrates, a batch of panels at a time.
 
-    `values(rect, rule)` gives the flat values on the nodes of every order
-    of the rule (`_panel_nodes`), and `batch(rects)` the RULE values of k
-    distinct rects as (k, n) rows; by default one `values` call per rect.
-    `blocks()` yields the RULE panels the field already holds, as (rects,
-    values) pairs with one (k, n) row of values per rect; a derived field
-    maps one block at a time, so only one block of its values is alive at
-    once.  `known` sums those panels, once per field object, on the field's
-    first integrated panel, and `_panels` adds every panel it evaluates.
+    `batch(rects)` gives the RULE values of k distinct rects as (k, n) rows,
+    on the nodes of `_batch_nodes`.  `blocks()` yields the RULE panels the
+    field already holds, as (rects, values) pairs with one (k, n) row of
+    values per rect; a mapped field maps one block at a time, so only one
+    block of its values is alive at once.  `known` sums those panels, once
+    per field object, on the field's first integrated panel, and `_panels`
+    adds every panel it evaluates.
     """
 
-    def values(self, rect, rule):
-        raise NotImplementedError
-
     def batch(self, rects):
-        return np.array([self.values(r, RULE) for r in rects])
+        raise NotImplementedError
 
     def blocks(self):
         return iter(())
@@ -186,20 +182,16 @@ class _FnField(PanelField):
     """A vectorized fn(x) or fn(x, y) as a field with no cache.
 
     A panel rect is (x0, x1) for a 1-D fn or (x0, x1, y0, y1) for a 2-D one.
-    fn is called once per `values(rect, rule)`, on the flat nodes of every
-    order of the rule (`_panel_nodes`), and once per `batch(rects)`, on the
-    flat RULE nodes of every rect, one rect after another.  It serves the
-    one-shot integrals of `integrate_1d`, which never revisit a panel.
+    fn is called once per `batch(rects)`, on the flat RULE nodes of every
+    rect, one rect after another.  It serves the one-shot integrals of
+    `integrate_1d`, which never revisit a panel.
     """
 
     def __init__(self, fn):
         self.fn = fn
 
-    def values(self, rect, rule):
-        return self._eval(_panel_nodes(rect, rule))
-
-    def batch(self, rects, nodes=None):
-        return self._eval(_batch_nodes(rects) if nodes is None else nodes)
+    def batch(self, rects):
+        return self._eval(_batch_nodes(rects))
 
     def _eval(self, nodes):
         """fn on the flattened node arrays, shaped as they are."""
@@ -220,9 +212,9 @@ class Field2D(_FnField):
     values are written into the next row of an append-only block of
     BLOCK_PANELS rows, and its cache entry is that row; `blocks()` yields
     the filled rows with their rects, in the order the panels were first
-    asked for.  It is the one cached field type of both dimensions; it
-    keeps its 2-D name because perfbench/tracer.py counts its evaluations
-    under it.
+    asked for; `values(rect, rule)` gives one panel's values under any rule.
+    It is the one cached field type of both dimensions; it keeps its 2-D
+    name because perfbench/tracer.py counts its evaluations under it.
     """
 
     def __init__(self, fn):
@@ -233,26 +225,20 @@ class Field2D(_FnField):
 
     def values(self, rect, rule):
         key = (rect, rule)
-        if key in self._cache:
-            return self._cache[key]
-        if rule == RULE:
-            self.batch((rect,))
-            return self._cache[key]
-        vals = self._cache[key] = super().values(rect, rule)
-        return vals
+        if key not in self._cache:
+            if rule == RULE:
+                self.batch((rect,))
+            else:
+                self._cache[key] = self._eval(_panel_nodes(rect, rule))
+        return self._cache[key]
 
-    def batch(self, rects, nodes=None):
-        """The (k, n) RULE rows of k distinct rects.
-
-        The uncached rects are evaluated in one fn call and stored as block
-        rows.  `nodes`, their `_batch_nodes` when every rect is uncached,
-        lets fields on the same rects share one node computation.
-        """
+    def batch(self, rects):
+        """The (k, n) RULE rows of k distinct rects; the uncached ones are
+        evaluated in one fn call and stored as block rows."""
         cache = self._cache
         new = [r for r in rects if (r, RULE) not in cache]
         if new:
-            shared = nodes if len(new) == len(rects) else None
-            vals = super().batch(new, shared)
+            vals = super().batch(new)
             self._store(new, vals)
             if len(new) == len(rects):
                 return vals
@@ -283,6 +269,22 @@ class Field2D(_FnField):
     def blocks(self):
         for rects, block in self._blocks:
             yield tuple(rects), block[:len(rects)]
+
+
+class MappedField(PanelField):
+    """`g(rects, rows)` of another field's (k, n) RULE rows of k rects, one
+    g call per batch or stored block."""
+
+    def __init__(self, field, g):
+        self.field = field
+        self.g = g
+
+    def batch(self, rects):
+        return self.g(rects, self.field.batch(rects))
+
+    def blocks(self):
+        for rects, rows in self.field.blocks():
+            yield rects, self.g(rects, rows)
 
 
 def _panels(field, rects):

@@ -36,9 +36,13 @@ def decay_plane_modular(phi, eps, m, lam):
     return 2.0 / eps ** 2 * _quad(inner, 1.0, np.inf)
 
 
-def box_modular(phi, absf, x0, x1, y0, y1):
-    """int_y0^y1 int_x0^x1 Phi(absf(x, y)) dx dy."""
-    return _quad(lambda y: _quad(lambda x: phi(absf(x, y)), x0, x1), y0, y1)
+def box_modular(phi, absf, x0, x1, y0, y1, weight=None):
+    """int_y0^y1 int_x0^x1 Phi(absf(x, y)) weight(x, y) dx dy, with weight
+    1 when it is None."""
+    if weight is None:
+        weight = lambda x, y: 1.0
+    return _quad(lambda y: _quad(lambda x: phi(absf(x, y)) * weight(x, y),
+                                 x0, x1), y0, y1)
 
 
 def disk_modular(phi, absf, x0, y0, r):

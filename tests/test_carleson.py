@@ -355,16 +355,17 @@ def test_embedding_zero_measure_all_ratios_vanish():
                            support=Box(0.0, 1.0, 0.0, 1.0))
     v = C.embedding_test(zero, T2, T1, family_spec=SMALL_FAMILY)
     assert v.empirical_ratio == 0.0
-    assert math.isnan(v.boundary_growth)
+    assert v.boundary_growth is None
 
 
 def test_embedding_no_loss_pair_skips_membership():
     v = C.embedding_test(dirac_at(1j), T2, G.power(3), family_spec=SMALL_FAMILY)
     holds, _ = v.condition18
     assert not holds
-    member, lux = v.berezin_in_phi3
-    assert not member
-    assert math.isnan(lux)
+    assert v.berezin_in_phi3 == (None, None)
+    obj = json.loads(json.dumps(C.verdict_to_json(v)))
+    assert obj["berezin_in_phi3"] == {"member": None, "lux_value": None,
+                                      "reason": "condition (18) fails"}
 
 
 def test_embedding_empty_family_rejected():

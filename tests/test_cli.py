@@ -274,6 +274,44 @@ def test_growth_spec_missing_key_exits_2(capsys):
     assert "'a'" in err["detail"]
 
 
+FN_G = '{"g":{"eps":1,"m":3}}'
+
+
+@pytest.mark.parametrize("measure,fn", [
+    ('{"mobius":{"a":1,"b":0,"c":0}}', FN_G),
+    ('{"density":{"support":{"disk":{"cx":0,"cy":1}}}}', FN_G),
+    (UNIT_SQUARE_V0, '{"g":{"eps":1}}'),
+    ('{"atomic":[[0,1]]}', FN_G),
+    ('{"density":{"support":{"box":[0,1,0]}}}', FN_G),
+], ids=["mobius-no-d", "disk-no-s", "g-no-m", "atom-row-2", "box-3"])
+def test_malformed_wire_spec_exits_2(capsys, measure, fn):
+    code, out = _run(capsys, ["luxnorm", "--phi", PHI_T2,
+                              "--measure", measure, "--fn", fn])
+    assert code == EXIT_VALIDATION
+    assert _error_doc(out)["kind"] == "ParameterError"
+
+
+def test_verdicts_print_no_nan(capsys):
+    # condition (18) fails for t^2 into t^3, so membership is not decided;
+    # an atom-only family has no kernels, so no boundary growth
+    code, out = _run(capsys, [
+        "embed-check", "--phi1", PHI_T2,
+        "--phi2", '{"family":"power","p":3}',
+        "--measure", '{"atomic":[[0.0,1.0,1.0]]}',
+        "--family", '{"kernels":0,"atoms":2}', "--no-meta"])
+    assert code == EXIT_OK and "nan" not in out
+    doc = json.loads(out)
+    assert doc["berezin_in_phi3"] == {"member": None, "lux_value": None,
+                                      "reason": "condition (18) fails"}
+    assert doc["boundary_growth"] is None
+    code, out = _run(capsys, [
+        "comp-check", "--mobius", "1,0,0,1", "--phi1", PHI_T2,
+        "--phi2", '{"family":"power","p":3}',
+        "--family", '{"kernels":2,"atoms":0}', "--no-meta"])
+    assert code == EXIT_OK and "nan" not in out
+    assert json.loads(out)["berezin_in_phi3"]["member"] is None
+
+
 @pytest.mark.parametrize("window", ["2.5,1", "2", "a,1"])
 def test_atoms_experiment_bad_window_exits_2(capsys, window):
     code, out = _run(capsys, ["atoms-experiment", "--phi", PHI_T2,

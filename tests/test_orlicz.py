@@ -425,7 +425,9 @@ def test_hardy_norm_pole_on_the_line_raises():
 
 
 # float.hex of (value, modular_at_value, iterations) of the root-finding
-# route, frozen when Illinois steps replaced bisection (30 probes each).
+# route, frozen when Illinois steps replaced bisection (30 probes each;
+# the Mobius and zero-weight pins were added later, before the two panel
+# stores of |f| and the weight became one).
 # Before its bits are compared, each value is checked against a reference
 # outside the package's cubature: nested QUADPACK for power_log (the
 # modular at the value is within the gate of 1), the closed form for t^2.5
@@ -448,6 +450,22 @@ BISECTION_PINS = [
          PLOG2, lambda x, y: ((1 + y) ** 2 + x * x) ** -1.5 / lam,
          0.0, 1.0, 0.0, 1.0) - 1.0), 1e-8,
      ("0x1.83de1b4fd5703p-2", "0x1.fffffffff9314p-1", 7)),
+    # the weight-callable path: z -> 2z pulls Lebesgue measure back to the
+    # density 1/4 on the whole plane
+    ("mobius power_log", PLANE_DECAY, O.mobius_measure(2, 0, 0, 1, 0),
+     G.power_log(2.5, 1.0, 2.0), 1e-6,
+     lambda lam: abs(0.25 * QO.decay_plane_modular(
+         QO.power_log(2.5, 1, 2), 1.25, 3.0, lam) - 1.0), 1e-6,
+     ("0x1.19fd4fc5bead6p-2", "0x1.ffffffffffd77p-1", 7)),
+    # the w == 0 mask path: the weight underflows to 0 for |x| > 0.864
+    ("zero-weight box power_log", B.decay(1.0, 3.0),
+     O.density_measure(lambda z: np.exp(-1000 * np.real(z) ** 2),
+                       Box(-1.0, 1.0, 0.5, 1.5)), G.power_log(2, 1, 2),
+     1e-8, lambda lam: abs(QO.box_modular(
+         PLOG2, lambda x, y: ((1 + y) ** 2 + x * x) ** -1.5 / lam,
+         -1.0, 1.0, 0.5, 1.5,
+         weight=lambda x, y: np.exp(-1000 * x * x)) - 1.0), 1e-8,
+     ("0x1.91f838c0bc965p-5", "0x1.00000019250b9p+0", 8)),
 ]
 
 
@@ -546,7 +564,7 @@ def test_lux_bisection_passes_reuse_the_store(monkeypatch):
     modular_at = O._ModularEngine.modular_at
 
     def traced(engine, psi, lam):
-        before = (phi_calls[0], len(sizes), len(list(engine.absf.blocks())))
+        before = (phi_calls[0], len(sizes), len(list(engine.field.blocks())))
         try:
             return modular_at(engine, psi, lam)
         finally:

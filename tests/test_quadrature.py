@@ -164,16 +164,16 @@ def test_adapt_checks_complex_and_real_totals():
 
 def test_known_panels_are_not_evaluated():
     # a panel of the field's known table is answered from it; only the
-    # others ask for values
+    # others are asked for in a batch
     asked = []
 
     class Logged(Q.PanelField):
         def __init__(self, inner):
             self.inner = inner
 
-        def values(self, rect, rule):
-            asked.append(rect)
-            return self.inner.values(rect, rule)
+        def batch(self, rects):
+            asked.extend(rects)
+            return self.inner.batch(rects)
 
         def blocks(self):
             return self.inner.blocks()
@@ -336,7 +336,7 @@ def test_bits_integrate_1d_line():
 
 
 def test_bits_disk_polar_chart():
-    # a Disk integrates its polar chart times R (halfplane._PolarArea)
+    # a Disk integrates its polar chart times R (halfplane._polar_area)
     disk = H.Disk(H.HPoint(0.2, 1.0), 0.5)
     v = H.integrate(lambda z: np.abs(z - 0.3j) ** 2, 0.5, disk)
     assert v.hex() == "0x1.16feb50d5eb97p-1"
