@@ -16,9 +16,10 @@ kernel-atom sums over a lattice sequence with coefficient mu at index
 
 normalized so the sum evaluated at its own lattice point returns mu
 when the other atoms are far.  An atom sum is evaluated directly, every
-point against every atom, in cache-sized blocks of points; for an
-integer weight (alpha = 0, 1, ...) the kernel powers are exact products,
-and a point's value never depends on the other points it comes with.
+point against every atom: a loop over the atoms of point vectors, summed
+in numpy's pairwise order; for an integer weight (alpha = 0, 1, ...) the
+kernel powers are exact products, and a point's value never depends on
+the other points it comes with.
 """
 
 import math
@@ -27,20 +28,20 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import lattice as _lattice
-from .errors import ParameterError, need
+from .errors import ParameterError, need, number
 from .growth import inverse_vec as _phi_inverse_vec
 from .halfplane import HPoint, integrate as _integrate, plane_power_integral
 from .orlicz import LatticeSequence, luxembourg, valpha_measure
 
-# Terms (points x atoms) per block of `_atom_sum_eval`, so that a block's
-# two complex temporaries (256 KB at 16k terms) stay in the core's cache.
-# On 8,241 points x 1,000 atoms (expo 2, one core of a Xeon with 2 MB of
-# L2 per core), blocks of 8k-32k terms took 0.087-0.092 s, and 4k and 128k
-# terms 0.10 s.
-_ATOM_BLOCK = 16384
+# Points per chunk of `_atom_sum_eval`: a chunk's point vectors (64 KB
+# each) stay in cache, and the peak memory is a few of them, whatever the
+# number of points.  On 8,241 points x 1,000 atoms (expo 2, best of 5, three
+# runs on a 2-core machine) chunks of 1,024 points took 78-111 ms and
+# chunks of 2,048 to 16,384 points 58-89 ms, within each other's noise.
+_ATOM_POINTS = 4096
 # Largest integer exponent taken by repeated products.  On the same case
-# they beat numpy's complex power at every exponent up to 16 (0.19 s
-# against 0.33 s at 16) and only tied with it at 32.
+# they beat numpy's complex power at every exponent up to 16 (0.20 s
+# against 0.21 s at 16) and lose to it at 32 (0.35 s against 0.27 s).
 _EXACT_POWER_MAX = 16
 
 
@@ -50,40 +51,68 @@ def _as_complex(z):
     return z
 
 
+def _pairwise(term, lo, hi):
+    """term(lo) + ... + term(hi - 1), in the order numpy's pairwise sum
+    adds a row of hi - lo terms: left to right below 4 terms; up to 64,
+    four strided accumulators combined as (r0 + r1) + (r2 + r3), then the
+    rest left to right; above 64, the two halves split at half the count
+    rounded down to a multiple of 4."""
+    m = hi - lo
+    if m > 64:
+        mid = lo + m // 2 - (m // 2) % 4
+        return _pairwise(term, lo, mid) + _pairwise(term, mid, hi)
+    if m < 4:
+        acc = term(lo)
+        for k in range(lo + 1, hi):
+            acc = acc + term(k)
+        return acc
+    r = [term(lo + j) for j in range(4)]
+    stop = hi - m % 4
+    for k in range(lo + 4, stop, 4):
+        for j in range(4):
+            r[j] = r[j] + term(k + j)
+    acc = (r[0] + r[1]) + (r[2] + r[3])
+    for k in range(stop, hi):
+        acc = acc + term(k)
+    return acc
+
+
 def _atom_sum_eval(z, centers, coeffs, expo):
     """sum_k coeffs[k] * ((z - conj(centers[k])) / i)^(-expo) on flat z.
 
-    The points go in blocks of about `_ATOM_BLOCK` terms, so a block's
-    (points x atoms) temporaries stay in cache and the peak memory is a
-    few of them, whatever the number of points.  An integer expo (alpha
-    = 0, 1, ...) is exact powers: one reciprocal and expo - 1 multiplies;
-    any other expo is numpy's complex power, on the principal branch.
-    Each row is summed on its own by numpy's pairwise sum, so a point's
-    value does not depend on the other points of the call.  Multiplying
-    by -i is exact, so z and the conjugate centres take it once, before
-    their difference.
+    A loop over the atoms, each term a vector over a chunk of
+    `_ATOM_POINTS` points, summed in `_pairwise` order: every value is bit
+    for bit the row sum of the (points x atoms) term matrix, and a point's
+    value does not depend on the other points of the call.  An integer
+    expo (alpha = 0, 1, ...) is exact powers: one reciprocal and expo - 1
+    multiplies; any other expo is numpy's complex power, on the principal
+    branch.  Products and sums are out of place: numpy's in-place complex
+    product of a one-element array can round differently from the same
+    product on a longer one.  Multiplying by -i is exact, so z and the
+    conjugate centres take it once, before their difference.
     """
     zt = z * -1j
     ct = np.conj(centers) * -1j
     n = int(expo) if float(expo).is_integer() \
         and 2 <= expo <= _EXACT_POWER_MAX else 0
-    rows = max(1, _ATOM_BLOCK // max(centers.size, 1))
-    base = np.empty((min(rows, z.size), centers.size), dtype=np.complex128)
-    term = np.empty_like(base)
-    out = np.empty(z.shape, dtype=np.complex128)
-    for i in range(0, z.size, rows):
-        zb = zt[i:i + rows]
-        b, t = base[:zb.size], term[:zb.size]
-        np.subtract(zb[:, None], ct, out=b)
-        if n:
-            np.reciprocal(b, out=b)
-            np.multiply(b, b, out=t)
-            for _ in range(n - 2):
-                t *= b
-        else:
-            np.power(b, -expo, out=t)
-        t *= coeffs
-        out[i:i + rows] = t.sum(axis=-1)
+    out = np.zeros(z.shape, dtype=np.complex128)
+    if not centers.size:
+        return out
+    for i in range(0, z.size, _ATOM_POINTS):
+        zb = zt[i:i + _ATOM_POINTS]
+
+        def term(k):
+            b = zb - ct[k]
+            if n:
+                r = np.reciprocal(b)
+                t = r * r
+                for _ in range(n - 2):
+                    t = t * r
+            else:
+                t = np.power(b, -expo)
+            return t * coeffs[k]
+
+        out[i:i + _ATOM_POINTS] = _pairwise(term, 0, centers.size)
     return out
 
 
@@ -324,20 +353,22 @@ def fn_from_json(obj):
     if "kernel" in obj or "normalized_kernel" in obj:
         key = "kernel" if "kernel" in obj else "normalized_kernel"
         d = obj[key]
-        w = HPoint(float(need(d, "wx", key)), float(need(d, "wy", key)))
+        w = HPoint(number(d, "wx", key), number(d, "wy", key))
         make = kernel_fn if key == "kernel" else normalized_kernel_fn
-        return make(w, float(d.get("alpha", 0.0)))
+        return make(w, number(d, "alpha", key, 0.0))
     if "g" in obj:
         d = obj["g"]
-        return decay(float(need(d, "eps", "g")), float(need(d, "m", "g")))
+        return decay(number(d, "eps", "g"), number(d, "m", "g"))
     if "const" in obj:
-        d = obj["const"]
-        if isinstance(d, (list, tuple)):
-            return const_fn(complex(*need(obj, "const", "const", 2)))
-        return const_fn(d)
+        if isinstance(obj["const"], (list, tuple)):
+            d = need(obj, "const", "const", 2)
+            return const_fn(complex(number(d, 0, "const"),
+                                    number(d, 1, "const")))
+        return const_fn(number(obj, "const", "const"))
     if "atoms" in obj:
         d = obj["atoms"]
-        return atom_sum(sequence_from_json(d), float(d.get("alpha", 0.0)))
+        return atom_sum(sequence_from_json(d),
+                        number(d, "alpha", "atoms", 0.0))
     raise ParameterError(f"unknown analytic-fn variant {list(obj)[0]!r}")
 
 
@@ -351,19 +382,21 @@ def sequence_from_json(obj):
     if not isinstance(obj, dict) or "sequence" not in obj:
         raise ParameterError(f"sequence spec needs a 'sequence' key: {obj!r}")
     rows = obj["sequence"]
-    if not rows:
-        raise ParameterError("atom sequence must be nonempty")
+    if not isinstance(rows, list) or not rows:
+        raise ParameterError(
+            f"atom sequence must be a nonempty list: {rows!r}")
     entries = {}
+    what = "sequence row [l, j, re, im]"
     for i in range(len(rows)):
-        l, j, re, im = need(rows, i, "sequence row [l, j, re, im]", 4)
-        k = (_lattice.as_index(l), _lattice.as_index(j))
-        entries[k] = complex(re, im)
+        row = need(rows, i, what, 4)
+        k = (_lattice.as_index(row[0]), _lattice.as_index(row[1]))
+        entries[k] = complex(number(row, 2, what), number(row, 3, what))
     if "window" in obj:
         window = obj["window"]
     else:
         window = (max(abs(k[0]) for k in entries),
                   max(abs(k[1]) for k in entries))
-    lat = _lattice.build(float(obj.get("delta", 0.5)), window,
+    lat = _lattice.build(number(obj, "delta", "sequence", 0.5), window,
                          obj.get("gamma"))
     return LatticeSequence(entries, lat)
 

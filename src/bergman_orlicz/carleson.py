@@ -18,8 +18,8 @@ from . import bergman, growth, lattice
 from .errors import AccuracyError, DivergenceError, ParameterError
 from .halfplane import (Box, Disk, HPoint, integrate, integrate_disk,
                         plane_power_integral)
-from .orlicz import (_random_sequence, luxembourg, mobius_measure, modular,
-                     valpha_measure)
+from .orlicz import (_ModularEngine, _random_sequence, luxembourg,
+                     mobius_measure, modular, valpha_measure)
 
 log = logging.getLogger(__name__)
 
@@ -336,7 +336,8 @@ class EmbeddingVerdict:
     """Bundle of embedding evidence.
 
     condition18 holds the admissibility check on the growth pair with
-    its constant; berezin_in_phi3 is the decidable membership side,
+    its constant, inf where the check's Dini integral diverges;
+    berezin_in_phi3 is the decidable membership side,
     (member, lux_value), or (None, None) when condition (18) fails;
     empirical_ratio is the worst norm ratio over the test family; and
     boundary_growth compares worst ratios between the outermost and
@@ -354,11 +355,17 @@ class EmbeddingVerdict:
 
 
 def verdict_to_json(v):
+    """The verdict as JSON values: an undefined number is null, with a
+    reason where one is needed, never inf or NaN."""
+    holds, constant = v.condition18
     member, lux = v.berezin_in_phi3
     bg = v.boundary_growth
     return {
-        "condition18": {"holds": bool(v.condition18[0]),
-                        "constant": float(v.condition18[1])},
+        "condition18": (
+            {"holds": bool(holds), "constant": float(constant)}
+            if np.isfinite(constant)
+            else {"holds": bool(holds), "constant": None,
+                  "reason": "the Dini integral of condition (18) diverges"}),
         "ratio_monotone": bool(v.ratio_monotone),
         "berezin_in_phi3": (
             {"member": None, "lux_value": None,
@@ -398,16 +405,20 @@ def embedding_test(mu, phi1, phi2, alpha=0.0, family_spec=None, seed=0,
     atom sums; the verdict bundles the growth-pair admissibility, the
     transform-membership side, and the worst observed ratio.
     """
+    members = _build_family(family_spec, alpha, seed)
+    numers = [luxembourg(F, mu, phi2, tol=tol).value for _, _, F in members]
+    return _verdict(mu, phi1, phi2, alpha, members, numers, tol)
+
+
+def _verdict(mu, phi1, phi2, alpha, members, numers, tol):
+    """The `EmbeddingVerdict` of a test family whose norms in L^phi2(mu)
+    are `numers`, one per member."""
     holds, constant, monotone = growth.embedding_condition_check(phi1, phi2)
     member = (berezin_membership(mu, phi1, phi2, alpha, tol=tol) if holds
               else (None, None))
-
-    members = _build_family(family_spec, alpha, seed)
     ratios, kernel_rows = [], []
-    for tag, y, F in members:
-        denom = bergman.space_norm(F, phi1, alpha, tol=tol)
-        numer = luxembourg(F, mu, phi2, tol=tol).value
-        r = numer / denom
+    for (tag, y, F), numer in zip(members, numers):
+        r = numer / bergman.space_norm(F, phi1, alpha, tol=tol)
         ratios.append(r)
         if tag == "kernel":
             kernel_rows.append((y, r))
@@ -438,25 +449,36 @@ def composition_check(a, b, c, d, beta_w, phi1, phi2, alpha=0.0,
                       family_spec=None, seed=0, tol=1e-4):
     """Boundedness evidence for F -> F o phi between weighted spaces.
 
-    Runs the embedding test on the pullback measure and cross-checks the
+    The verdict is `embedding_test`'s on the pullback measure, at tolerance
+    min(tol, 1e-4), and the first five family members cross-check the
     change-of-variables identity modular(F o phi; V_beta) =
-    modular(F; pullback) on five family members.
+    modular(F; pullback) at tol * 1e-2.  The members run one at a time,
+    each in this order: its norm in L^phi2(pullback), the right-hand side,
+    the left-hand side.  The norm and the right-hand side share one panel
+    store (`orlicz._ModularEngine`), so the right-hand side evaluates only
+    the panels the norm's passes did not; the store is released before the
+    left-hand side, so one store is alive at a time.
     """
     mu = pullback_mobius(a, b, c, d, beta_w)
-    verdict = embedding_test(mu, phi1, phi2, alpha, family_spec, seed,
-                             tol=min(tol, 1e-4))
+    members = _build_family(family_spec, alpha, seed)
+    solve_tol = min(tol, 1e-4)
 
     def phi_map(z):
         return (a * z + b) / (c * z + d)
 
-    members = _build_family(family_spec, alpha, seed)[:5]
-    for _, _, F in members:
+    numers = []
+    for i, (_, _, F) in enumerate(members):
+        engine = _ModularEngine(F, mu)
+        numers.append(engine.norm(phi2, solve_tol).value)
+        if i >= 5:
+            continue
+        rhs = engine.modular(phi2, tol * 1e-2)
+        del engine
         comp = lambda z, F=F: F(phi_map(np.asarray(z, dtype=complex)))
         lhs = modular(comp, valpha_measure(beta_w), phi2, tol=tol * 1e-2)
-        rhs = modular(F, mu, phi2, tol=tol * 1e-2)
         scale = max(abs(lhs), abs(rhs), 1e-300)
         if abs(lhs - rhs) > tol * scale:
             raise AccuracyError(
                 f"change-of-variables mismatch: {lhs:.8g} vs {rhs:.8g} "
                 f"(rel {abs(lhs - rhs) / scale:.2e})")
-    return verdict
+    return _verdict(mu, phi1, phi2, alpha, members, numers, solve_tol)

@@ -1,5 +1,5 @@
-"""Exception taxonomy shared by every module, and the key check of the
-JSON wire formats.
+"""Exception taxonomy shared by every module, and the key and number
+checks of the JSON wire formats.
 
 Exit-code mapping used by the CLI: ParameterError/DomainError -> 2,
 AccuracyError/DivergenceError/NotInSpaceError -> 3, anything else -> 1.
@@ -53,3 +53,16 @@ def need(obj, key, what, arity=None):
         raise ParameterError(
             f"{what} needs {arity} entries at {key!r}, got {item!r}")
     return item
+
+
+def number(obj, key, what, default=None):
+    """need(obj, key, what) as a float, or `default` when one is given and
+    the key is missing; ParameterError unless the value is a real number
+    (JSON true and false are not)."""
+    if default is not None and isinstance(obj, dict) and key not in obj:
+        return default
+    item = need(obj, key, what)
+    if isinstance(item, bool) or not isinstance(item, (int, float)):
+        raise ParameterError(
+            f"{what} needs a number at {key!r}, got {item!r}")
+    return float(item)

@@ -16,7 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DivergenceError, DomainError, ParameterError, need
+from .errors import (DivergenceError, DomainError, ParameterError, need,
+                     number)
 from .quadrature import (
     ORDER_HIGH,
     ORDER_LOW,
@@ -334,14 +335,15 @@ def region_from_json(obj):
     if not isinstance(obj, dict) or len(obj) != 1:
         raise ParameterError(f"malformed region spec: {obj!r}")
     if "box" in obj:
-        return Box(*(float(v) for v in need(obj, "box", "box", 4)))
+        edges = need(obj, "box", "box", 4)
+        return Box(*(number(edges, i, "box") for i in range(4)))
     if "carleson" in obj:
         c = obj["carleson"]
-        return CarlesonSquare(*(float(need(c, k, "carleson"))
+        return CarlesonSquare(*(number(c, k, "carleson")
                                 for k in ("center", "length")))
     if "disk" in obj:
         d = obj["disk"]
-        cx, cy, s = (float(need(d, k, "disk")) for k in ("cx", "cy", "s"))
+        cx, cy, s = (number(d, k, "disk") for k in ("cx", "cy", "s"))
         return Disk(HPoint(cx, cy), s)
     raise ParameterError(f"unknown region variant {list(obj)[0]!r}")
 

@@ -31,7 +31,7 @@ import numpy as np
 
 from . import quadrature as Q
 from .errors import (AccuracyError, BergmanOrliczError, DivergenceError,
-                     NotInSpaceError, ParameterError, need)
+                     NotInSpaceError, ParameterError, need, number)
 from .growth import inverse as _phi_inverse, power as _power
 from .halfplane import HPoint, _chart_field, _integrate_region, _seed_values
 from .lattice import DeltaLattice, row_major, row_weights
@@ -114,15 +114,30 @@ def mobius_measure(a, b, c, d, beta):
 
 def mobius_density(mu):
     """The closed density (Im w)**beta * |w'|**2 of a pullback measure, with
-    w(z) = (dz-b)/(-cz+a), as a callable of z."""
+    w(z) = (dz-b)/(-cz+a), as a callable of z.
+
+    For a triangular map (c = 0) the denominator -cz + a is (a, +0.0) at
+    every z in the half-plane, so |w'|**2 is one number, computed once by
+    the same operations on a one-element array; with beta = 0 as well the
+    density is that number at every z.
+    """
     a, b, c, d = mu.mobius
     det = a * d - b * c
     beta = mu.beta
 
+    def jac(den):
+        return np.abs(det / den ** 2) ** 2
+
+    if c == 0.0:
+        scale = jac(np.array([complex(a, 0.0)]))
+        if beta == 0.0:
+            return lambda z: np.full(np.shape(z), scale[0])
+        return lambda z: np.imag((d * z - b) / (-c * z + a)) ** beta \
+            * scale[0]
+
     def h(z):
-        w = (d * z - b) / (-c * z + a)
-        dw = det / (-c * z + a) ** 2
-        return np.imag(w) ** beta * np.abs(dw) ** 2
+        den = -c * z + a
+        return np.imag((d * z - b) / den) ** beta * jac(den)
 
     return h
 
@@ -196,7 +211,7 @@ def _phi_step(phi, lam):
 
 
 class _ModularEngine:
-    """Evaluates lambda -> modular(f/lambda) for one (f, measure) pair.
+    """Evaluates (lambda, tol) -> modular(f/lambda) for one (f, measure) pair.
 
     An atomic measure is a discrete sum over its atoms.  A density keeps
     one `Field2D` on the support's chart whose node values pack |f| and
@@ -214,11 +229,17 @@ class _ModularEngine:
     `quadrature.BLOCK_PANELS` panels plus one per batch of panels no
     earlier pass evaluated, with every result bit for bit the
     panel-by-panel one.
+
+    The tolerance comes with each pass, so one store serves passes at
+    several tolerances.  Worst-first refinement splits a box's panels, and
+    a graded chain runs its strips, in the same order at any tolerance, so
+    a pass at a finer one over the same integrand evaluates only the
+    panels the coarser passes did not reach.  `norm` and `modular` are
+    `luxembourg` and `modular` on this store.
     """
 
-    def __init__(self, f, mu, tol):
+    def __init__(self, f, mu):
         self.mu = mu
-        self.tol = tol
         if mu.atoms:
             pts = np.array([p.z for p, _ in mu.atoms])
             self.fvals = _finite_abs(np.asarray(f(pts), dtype=complex))
@@ -235,11 +256,24 @@ class _ModularEngine:
 
         self.field = _chart_field(packed, mu.support)
 
-    def modular_at(self, phi, lam):
+    def modular_at(self, phi, lam, tol):
         if self.mu.atoms:
             return _discrete_modular(self.fvals, self.masses, phi, lam)
         mapped = Q.MappedField(self.field, _phi_step(phi, lam))
-        return float(_integrate_region(mapped, self.mu.support, self.tol))
+        return float(_integrate_region(mapped, self.mu.support, tol))
+
+    def norm(self, phi, tol):
+        """The Luxembourg norm of f, as a `LuxResult`."""
+        return _solve(lambda psi, lam: self.modular_at(psi, lam, tol), phi,
+                      lambda: self.start(phi))
+
+    def modular(self, phi, tol):
+        """The modular of f; AccuracyError where it diverges."""
+        try:
+            return self.modular_at(phi, 1.0, tol)
+        except DivergenceError as e:
+            raise AccuracyError(
+                f"modular diverges under automatic truncation ({e})") from e
 
     def start(self, phi):
         """Root-finding seed typ / Phi^-1(1/mass) from the support's V_alpha
@@ -298,12 +332,7 @@ def modular(f, mu, phi, tol=1e-8):
     -------
     float
     """
-    engine = _ModularEngine(f, mu, tol)
-    try:
-        return engine.modular_at(phi, 1.0)
-    except DivergenceError as e:
-        raise AccuracyError(
-            f"modular diverges under automatic truncation ({e})") from e
+    return _ModularEngine(f, mu).modular(phi, tol)
 
 
 def _log_or_nan(m):
@@ -453,8 +482,7 @@ def luxembourg(f, mu, phi, tol=1e-8):
     -------
     LuxResult
     """
-    engine = _ModularEngine(f, mu, tol)
-    return _solve(engine.modular_at, phi, lambda: engine.start(phi))
+    return _ModularEngine(f, mu).norm(phi, tol)
 
 
 def _seq_arrays(seq, alpha):
@@ -543,20 +571,24 @@ def measure_from_json(obj):
         raise ParameterError(f"malformed measure spec: {obj!r}")
     if "atomic" in obj:
         rows = obj["atomic"]
+        if not isinstance(rows, list):
+            raise ParameterError(
+                f"atomic measure needs a list of rows: {obj!r}")
+        what = "atomic row [x, y, mass]"
+        rows = [need(rows, i, what, 3) for i in range(len(rows))]
         return atomic_measure(
             [(HPoint(x, y), m) for x, y, m in
-             (need(rows, i, "atomic row [x, y, mass]", 3)
-              for i in range(len(rows)))])
+             ((number(row, k, what) for k in range(3)) for row in rows)])
     if "density" in obj:
         d = obj["density"]
         if d.get("kind", "valpha") != "valpha":
             raise ParameterError(f"unknown density kind {d.get('kind')!r}")
         support = region_from_json(d.get("support", "auto"))
-        return valpha_measure(float(d.get("alpha", 0.0)), support)
+        return valpha_measure(number(d, "alpha", "density", 0.0), support)
     if "mobius" in obj:
         m = obj["mobius"]
-        return mobius_measure(*(need(m, k, "mobius") for k in "abcd"),
-                              m.get("beta", 0.0))
+        return mobius_measure(*(number(m, k, "mobius") for k in "abcd"),
+                              number(m, "beta", "mobius", 0.0))
     raise ParameterError(f"unknown measure variant {list(obj)[0]!r}")
 
 

@@ -3,6 +3,7 @@
 Frozen reference numbers come from tools/oracles/integrals_oracle.py.
 """
 
+import hashlib
 import tracemalloc
 
 import mpmath
@@ -330,7 +331,7 @@ def test_atom_sum_point_values_do_not_depend_on_the_batch(window_atom_sum):
             [whole[i].real.hex(), whole[i].imag.hex()]
 
 
-def test_atom_sum_memory_stays_in_blocks(window_atom_sum):
+def test_atom_sum_memory_stays_in_chunks(window_atom_sum):
     F, zs = window_atom_sum
     tracemalloc.start()
     try:
@@ -339,6 +340,62 @@ def test_atom_sum_memory_stays_in_blocks(window_atom_sum):
     finally:
         tracemalloc.stop()
     assert peak < 8e6
+
+
+# (alpha, atoms, sha256 prefix of the values on the 8,241-point window,
+# float.hex of the value at window point 5003), frozen from the
+# (points x atoms) block evaluation with its numpy row sums: exact powers
+# at alpha = 0 and 1, the complex power at alpha = 0.5
+ATOM_SUM_PINS = [
+    (0.0, 1, "3c9607f325621b86", "0x1.ad5213ccb5aa3p-8", "0x1.2e7d06c39a975p-2"),
+    (0.0, 2, "d4b7d7154ebce1f6", "0x1.d6d53271092fbp-1", "-0x1.c44dde9390780p-1"),
+    (0.0, 3, "74de74aa7e117949", "-0x1.26297a61de56ap+0", "-0x1.255c8c4f21f22p+0"),
+    (0.0, 5, "3b738af9d4c767f0", "-0x1.154f1de22feebp-1", "0x1.68dd1d04f2b28p-1"),
+    (0.0, 8, "1ea3cbf3f4589e82", "-0x1.da44f47e1d108p+0", "-0x1.af4fb0fc07aabp+0"),
+    (0.0, 70, "f7ca35f3e56546ed", "-0x1.78d01d2cdd56cp+1", "0x1.51c8f8652de9ap+2"),
+    (0.0, 1000, "384d715e70d2d888", "0x1.1a37b2842617cp+3", "0x1.fd67db0ac4e26p+2"),
+    (1.0, 1, "0ba01b863be3f816", "-0x1.e6e1a27eb4c51p-4", "0x1.33b91056b8052p-3"),
+    (1.0, 2, "0978a693d7a56ca4", "0x1.7ca9e962973f4p-1", "-0x1.69ed5f290cd1ep-2"),
+    (1.0, 3, "1852a234560749c6", "-0x1.65e6279571f5cp-1", "-0x1.645f1d2a7960cp+0"),
+    (1.0, 5, "900bc42299b2fb05", "-0x1.9d3af4457b649p-1", "0x1.acf145ac0ca86p-3"),
+    (1.0, 8, "93ce7cc1031059ef", "-0x1.fe470a40d3980p-1", "-0x1.1852381295b05p+1"),
+    (1.0, 70, "f9d9472e4a64874c", "-0x1.e05ab34caf186p+1", "0x1.6c9bfd34425efp+1"),
+    (1.0, 1000, "bcbd12b4a804a644", "0x1.a173c2e8e1fa4p+2", "0x1.1054cbc7338afp+3"),
+    (0.5, 1, "b0bb520cd96877db", "-0x1.35d9d2d8318aap-4", "0x1.cdfcff91eb0eep-3"),
+    (0.5, 2, "fa6e9923ea80df70", "0x1.b1caa1fd89366p-1", "-0x1.12bae598a52fcp-1"),
+    (0.5, 3, "267800d316d49520", "-0x1.eb7441cc6ba7ap-1", "-0x1.505012c459ae1p+0"),
+    (0.5, 5, "7a9edb6068b1eb8e", "-0x1.75cf962ed0687p-1", "0x1.f2a059d377640p-2"),
+    (0.5, 8, "76b19e1b028bf4fc", "-0x1.71cc7c43bb292p+0", "-0x1.0c2d89a6349b0p+1"),
+    (0.5, 70, "8a91fd1bebf01127", "-0x1.adf9af427f862p+1", "0x1.fbcc43f02beb1p+1"),
+    (0.5, 1000, "948846a89085fd22", "0x1.02c4631efb5bfp+3", "0x1.0b80a799888f4p+3"),
+]
+
+
+@pytest.mark.parametrize("alpha,atoms,digest,re_hex,im_hex", ATOM_SUM_PINS,
+                         ids=[f"a{p[0]}-n{p[1]}" for p in ATOM_SUM_PINS])
+def test_bits_atom_sum_per_atom_loop(alpha, atoms, digest, re_hex, im_hex):
+    # the window's values keep their bits at every atom count, on either
+    # side of the 4-term and 64-term steps of the pairwise sum, and slices
+    # of 1, 2 and 7 points, some across a chunk edge, and a lone point
+    # give the window's bits
+    lat = L.build(0.45, (100, 20))
+    keys = sorted(lat.points)
+    zs = np.array([lat.points[k].z for k in L.row_major(lat.points)])
+    rng = np.random.default_rng([20261019, atoms])
+    pick = rng.choice(len(keys), atoms, replace=False)
+    seq = O.LatticeSequence({keys[i]: complex(rng.normal(), rng.normal())
+                             for i in pick}, lat)
+    F = B.atom_sum(seq, alpha)
+    whole = F(zs)
+    assert hashlib.sha256(whole.tobytes()).hexdigest()[:16] == digest
+    assert [whole[5003].real.hex(), whole[5003].imag.hex()] == \
+        [re_hex, im_hex]
+    for i in (0, 1, 4094, 5003, zs.size - 7):
+        for width in (1, 2, 7):
+            assert F(zs[i:i + width]).tobytes() == \
+                whole[i:i + width].tobytes()
+    lone = F(zs[5003])
+    assert [lone.real.hex(), lone.imag.hex()] == [re_hex, im_hex]
 
 
 def test_atom_sum_keeps_input_shapes():

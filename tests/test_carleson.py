@@ -15,6 +15,8 @@ from bergman_orlicz import bergman as B
 from bergman_orlicz import carleson as C
 from bergman_orlicz import growth as G
 from bergman_orlicz import lattice as L
+from bergman_orlicz import orlicz as O
+from bergman_orlicz import quadrature as Q
 from bergman_orlicz.errors import DivergenceError, ParameterError
 from bergman_orlicz.halfplane import Box, CarlesonSquare, HPoint, StripUnion
 from bergman_orlicz.orlicz import (
@@ -454,6 +456,64 @@ def test_bits_composition_ratio(name, coeffs, pin):
                             family_spec=dict(PULLBACK_FAMILY), seed=0,
                             tol=1e-4)
     assert v.empirical_ratio.hex() == pin
+
+
+def test_composition_right_hand_side_evaluates_only_new_nodes(monkeypatch):
+    # each member's 1e-6 right-hand side reads the panels of its 1e-4 norm
+    # solve from their shared store and evaluates only nodes the solve did
+    # not; its value keeps the bits of a fresh store's
+    phase = ["solve"]
+    nodes = {}  # (member, phase) -> node arrays fed to the member
+    rhs = []
+    call = B.AnalyticFn.__call__
+    engine_modular = O._ModularEngine.modular
+
+    def recorded(F, z):
+        if phase[0] != "lhs":
+            nodes.setdefault((id(F), phase[0]), []).append(
+                np.ravel(np.asarray(z, dtype=complex)))
+        return call(F, z)
+
+    def right_hand_side(engine, phi, tol):
+        if not engine.mu.mobius:  # the left-hand side's own store
+            return engine_modular(engine, phi, tol)
+        phase[0] = "rhs"
+        try:
+            v = engine_modular(engine, phi, tol)
+        finally:
+            phase[0] = "lhs"
+        rhs.append(v)
+        return v
+
+    def left_hand_side(*args, **kwargs):
+        try:
+            return modular(*args, **kwargs)
+        finally:
+            phase[0] = "solve"
+
+    monkeypatch.setattr(B.AnalyticFn, "__call__", recorded)
+    monkeypatch.setattr(O._ModularEngine, "modular", right_hand_side)
+    monkeypatch.setattr(C, "modular", left_hand_side)
+    mu = C.pullback_mobius(2.0, 0.0, 0.0, 1.0, 0.0)
+    v = C.composition_check(2.0, 0.0, 0.0, 1.0, 0.0, T2, T2,
+                            family_spec=dict(PULLBACK_FAMILY), seed=0,
+                            tol=1e-4)
+    assert v.empirical_ratio.hex() == PULLBACK_PINS[1][2]
+    monkeypatch.undo()
+    members = C._build_family(dict(PULLBACK_FAMILY), 0.0, 0)
+    order = list(dict.fromkeys(k for k, _ in nodes))  # members as they ran
+    assert len(rhs) == len(members) == len(order) == 3
+    for (_, _, F), key, value in zip(members, order, rhs):
+        solve = np.concatenate(nodes[key, "solve"])
+        new = np.concatenate(nodes[key, "rhs"])
+        both = np.concatenate([solve, new])
+        assert new.size > 0
+        assert np.unique(both).size == both.size
+        # the solve's panels are a subset of a lone 1e-6 pass's
+        fresh = O._ModularEngine(F, mu)
+        assert value.hex() == fresh.modular(T2, 1e-6).hex()
+        panels = sum(len(rects) for rects, _ in fresh.field.blocks())
+        assert both.size == panels * (Q.ORDER_HIGH ** 2 + Q.ORDER_LOW ** 2)
 
 
 def test_composition_interior_shift_ratios_decay():

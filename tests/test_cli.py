@@ -283,7 +283,15 @@ FN_G = '{"g":{"eps":1,"m":3}}'
     (UNIT_SQUARE_V0, '{"g":{"eps":1}}'),
     ('{"atomic":[[0,1]]}', FN_G),
     ('{"density":{"support":{"box":[0,1,0]}}}', FN_G),
-], ids=["mobius-no-d", "disk-no-s", "g-no-m", "atom-row-2", "box-3"])
+    ('{"density":{"support":{"box":["a",1,0,1]}}}', FN_G),
+    ('{"atomic":[["a",1,1]]}', FN_G),
+    ('{"atomic":5}', FN_G),
+    ('{"atomic":[[0,1,true]]}', FN_G),
+    ('{"mobius":{"a":1,"b":0,"c":0,"d":"1"}}', FN_G),
+    (UNIT_SQUARE_V0, '{"g":{"eps":"1","m":3}}'),
+], ids=["mobius-no-d", "disk-no-s", "g-no-m", "atom-row-2", "box-3",
+        "box-str", "atom-str", "atomic-int", "atom-bool", "mobius-str",
+        "g-str"])
 def test_malformed_wire_spec_exits_2(capsys, measure, fn):
     code, out = _run(capsys, ["luxnorm", "--phi", PHI_T2,
                               "--measure", measure, "--fn", fn])
@@ -292,15 +300,19 @@ def test_malformed_wire_spec_exits_2(capsys, measure, fn):
 
 
 def test_verdicts_print_no_nan(capsys):
-    # condition (18) fails for t^2 into t^3, so membership is not decided;
-    # an atom-only family has no kernels, so no boundary growth
+    # condition (18) fails for t^2 into t^3: its Dini integral diverges, so
+    # it has no constant and membership is not decided; an atom-only family
+    # has no kernels, so no boundary growth
     code, out = _run(capsys, [
         "embed-check", "--phi1", PHI_T2,
         "--phi2", '{"family":"power","p":3}',
         "--measure", '{"atomic":[[0.0,1.0,1.0]]}',
         "--family", '{"kernels":0,"atoms":2}', "--no-meta"])
-    assert code == EXIT_OK and "nan" not in out
+    assert code == EXIT_OK and "nan" not in out and "inf" not in out
     doc = json.loads(out)
+    assert doc["condition18"] == {
+        "holds": False, "constant": None,
+        "reason": "the Dini integral of condition (18) diverges"}
     assert doc["berezin_in_phi3"] == {"member": None, "lux_value": None,
                                       "reason": "condition (18) fails"}
     assert doc["boundary_growth"] is None

@@ -286,6 +286,35 @@ def test_mobius_measure_density():
     assert abs(v - ref) / ref < 1e-6
 
 
+def _mobius_density_per_node(a, b, c, d, beta):
+    """The pullback density as evaluated at every node, whatever c is."""
+    det = a * d - b * c
+
+    def h(z):
+        w = (d * z - b) / (-c * z + a)
+        dw = det / (-c * z + a) ** 2
+        return np.imag(w) ** beta * np.abs(dw) ** 2
+
+    return h
+
+
+@pytest.mark.parametrize("coeffs,beta", [
+    ((1.0, 0.0, 0.0, 1.0), 0.0), ((2.0, 0.0, 0.0, 1.0), 0.0),
+    ((1.0, 1.0, 0.0, 1.0), 0.0), ((3.0, -2.0, 0.0, 0.7), 0.0),
+    ((3.0, -2.0, 0.0, 0.7), 0.6), ((1.0, -1.0, 1.0, 1.0), 0.5),
+], ids=["identity", "2z", "z+1", "3z-2", "3z-2-beta", "non-triangular"])
+def test_mobius_density_bits_equal_per_node_formula(coeffs, beta):
+    # the closed triangular weight keeps the bits of the per-node formula,
+    # on nodes with Re z of both signs and Im z over 16 decades
+    x = np.linspace(-7.0, 7.0, 57)
+    y = np.geomspace(1e-12, 1e4, 41)
+    z = (x[:, None] + 1j * y[None, :]).ravel()
+    got = O.mobius_density(O.mobius_measure(*coeffs, beta))(z)
+    want = _mobius_density_per_node(*coeffs, beta)(z)
+    assert got.shape == z.shape
+    assert got.tobytes() == want.tobytes()
+
+
 def test_measure_validation():
     with pytest.raises(ParameterError):
         O.atomic_measure([(HPoint(0, 1), 0.0)])
@@ -335,7 +364,7 @@ def test_lux_disk_seed_reads_only_the_disk():
         seen.append(np.asarray(z).ravel())
         return 1.0 / np.imag(z)
 
-    O._ModularEngine(f, mu, 1e-8).start(phi)
+    O._ModularEngine(f, mu).start(phi)
     z = np.concatenate(seen)
     assert z.size > 0
     assert np.all(np.abs(z - disk.center.z) <= disk.radius * (1 + 1e-12))
@@ -563,10 +592,10 @@ def test_lux_bisection_passes_reuse_the_store(monkeypatch):
     monkeypatch.setattr(G.GrowthFunction, "__call__", counted)
     modular_at = O._ModularEngine.modular_at
 
-    def traced(engine, psi, lam):
+    def traced(engine, psi, lam, tol):
         before = (phi_calls[0], len(sizes), len(list(engine.field.blocks())))
         try:
-            return modular_at(engine, psi, lam)
+            return modular_at(engine, psi, lam, tol)
         finally:
             passes.append((phi_calls[0] - before[0], len(sizes) - before[1],
                            before[2]))
@@ -645,15 +674,15 @@ def test_batched_pass_equals_panel_by_panel(support, weight, alpha):
 
     def outcome(engine, lam):
         try:
-            return engine.modular_at(phi, lam).hex()
+            return engine.modular_at(phi, lam, 1e-6).hex()
         except DivergenceError:  # the whole plane at the vanishing probe
             return "diverges"
 
-    engine = O._ModularEngine(DECAY3, mu, 1e-6)
+    engine = O._ModularEngine(DECAY3, mu)
     for lam in (0.05, 1e-300, 0.5, 2.0, 0.3):
-        fresh = O._ModularEngine(DECAY3, mu, 1e-6)
+        fresh = O._ModularEngine(DECAY3, mu)
         assert outcome(engine, lam) == outcome(fresh, lam)
-    assert engine.modular_at(phi, 0.3) > 0
+    assert engine.modular_at(phi, 0.3, 1e-6) > 0
 
 
 def test_lux_disk_seed_reads_the_first_panel():
