@@ -470,10 +470,10 @@ def composition_check(a, b, c, d, beta_w, phi1, phi2, alpha=0.0,
     for i, (_, _, F) in enumerate(members):
         engine = _ModularEngine(F, mu)
         numers.append(engine.norm(phi2, solve_tol).value)
-        if i >= 5:
-            continue
-        rhs = engine.modular(phi2, tol * 1e-2)
+        rhs = engine.modular(phi2, tol * 1e-2) if i < 5 else None
         del engine
+        if rhs is None:
+            continue
         comp = lambda z, F=F: F(phi_map(np.asarray(z, dtype=complex)))
         lhs = modular(comp, valpha_measure(beta_w), phi2, tol=tol * 1e-2)
         scale = max(abs(lhs), abs(rhs), 1e-300)

@@ -116,10 +116,9 @@ def mobius_density(mu):
     """The closed density (Im w)**beta * |w'|**2 of a pullback measure, with
     w(z) = (dz-b)/(-cz+a), as a callable of z.
 
-    For a triangular map (c = 0) the denominator -cz + a is (a, +0.0) at
-    every z in the half-plane, so |w'|**2 is one number, computed once by
-    the same operations on a one-element array; with beta = 0 as well the
-    density is that number at every z.
+    For a triangular map (c = 0) with beta = 0 the denominator -cz + a is
+    (a, +0.0) at every z in the half-plane, so the density is one number,
+    |w'|**2 computed once by the same operations on a one-element array.
     """
     a, b, c, d = mu.mobius
     det = a * d - b * c
@@ -128,12 +127,9 @@ def mobius_density(mu):
     def jac(den):
         return np.abs(det / den ** 2) ** 2
 
-    if c == 0.0:
-        scale = jac(np.array([complex(a, 0.0)]))
-        if beta == 0.0:
-            return lambda z: np.full(np.shape(z), scale[0])
-        return lambda z: np.imag((d * z - b) / (-c * z + a)) ** beta \
-            * scale[0]
+    if c == 0.0 and beta == 0.0:
+        scale = jac(np.array([complex(a, 0.0)]))[0]
+        return lambda z: np.full(np.shape(z), scale)
 
     def h(z):
         den = -c * z + a

@@ -6,6 +6,7 @@ the closed Beta-product forms checked there.
 
 import json
 import math
+import weakref
 
 import mpmath
 import numpy as np
@@ -514,6 +515,34 @@ def test_composition_right_hand_side_evaluates_only_new_nodes(monkeypatch):
         assert value.hex() == fresh.modular(T2, 1e-6).hex()
         panels = sum(len(rects) for rects, _ in fresh.field.blocks())
         assert both.size == panels * (Q.ORDER_HIGH ** 2 + Q.ORDER_LOW ** 2)
+
+
+def test_composition_releases_each_store_before_the_next(monkeypatch):
+    # one pullback store is alive at a time, also for members past the
+    # fifth (no cross-check) and through the verdict's own solves
+    stores = []
+    engine = O._ModularEngine
+    verdict = C._verdict
+
+    def dead():
+        return all(ref() is None for ref in stores)
+
+    def recorded(F, mu):
+        assert dead()
+        e = engine(F, mu)
+        stores.append(weakref.ref(e))
+        return e
+
+    def checked(*args, **kwargs):
+        assert dead()
+        return verdict(*args, **kwargs)
+
+    monkeypatch.setattr(C, "_ModularEngine", recorded)
+    monkeypatch.setattr(C, "_verdict", checked)
+    C.composition_check(2.0, 0.0, 0.0, 1.0, 0.0, T2, T2,
+                        family_spec={"kernels": 7, "atoms": 0,
+                                     "im_lo": 0.1}, tol=1e-2)
+    assert len(stores) == 7
 
 
 def test_composition_interior_shift_ratios_decay():
