@@ -290,6 +290,9 @@ def berezin_membership(mu, phi1, phi2, alpha=0.0, stage_max=None, tol=1e-6):
     current value, and the sequence is accepted once that projected tail
     is below ``MEMBERSHIP_TAIL_CAP``.  Divergent transforms keep their
     increments near-constant (or growing), so the projection stays large.
+    A stage whose box misses the measure is skipped: it gives no evidence,
+    and a verdict resting on fewer than two stages that meet the measure
+    raises AccuracyError.
 
     Returns
     -------
@@ -304,18 +307,22 @@ def berezin_membership(mu, phi1, phi2, alpha=0.0, stage_max=None, tol=1e-6):
         reach = 2.0 ** k
         box = Box(-reach, reach, 1.0 / reach, reach)
         mu_k = _restrict(mu, box)
-        if mu_k is None:
-            val = 0.0
-        else:
-            fn = berezin_fn(mu_k, alpha)
-            val = luxembourg(fn, valpha_measure(alpha, support=box),
-                             phi3, tol=tol).value
+        if mu_k is None:  # a stage the measure misses gives no evidence
+            continue
+        fn = berezin_fn(mu_k, alpha)
+        val = luxembourg(fn, valpha_measure(alpha, support=box),
+                         phi3, tol=tol).value
         if prev is not None:
             rel = abs(val - prev) / max(val, 1e-300)
             if rel <= MEMBERSHIP_STABLE_REL:
                 return True, val
             rels.append(rel)
         prev = val
+    if not rels:
+        met = 0 if prev is None else 1
+        raise AccuracyError(
+            f"membership rests on {met} of {stage_max} stages; it needs two "
+            f"whose box meets the measure")
     if len(rels) >= 2 and rels[-2] > 0:
         rho = rels[-1] / rels[-2]
         if rho < 1.0:

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import (DivergenceError, OverflowBracketError, ParameterError,
                      need)
-from .quadrature import _sum_tail, integrate_1d
+from .quadrature import _FnField, _strip_chain, _sum_tail
 
 GRID_POINTS = 400
 GRID_LO = 1e-8
@@ -335,19 +335,15 @@ def inverse_vec(phi, y):
 def _dini_integral(phi, t, tol=1e-9):
     """int_0^t Phi(s)/s^2 ds by strips that halve toward 0; flags divergence.
 
-    The decay threshold 0.995 flags exactly linear growth; t^1.03 still
+    The strips are those of `quadrature._strip_chain`, on one field of the
+    integrand, so a strip that needs no split costs no adaptive call.  The
+    decay threshold 0.995 flags exactly linear growth; t^1.03 still
     converges, t^1.02 reaches subnormal s first and raises AccuracyError.
     """
-
-    def strips():
-        hi = t
-        for _ in range(3000):
-            # / s / s: s * s underflows to 0 long before s does
-            v, e = integrate_1d(lambda s: phi(s) / s / s, hi / 2, hi, tol=tol)
-            yield v, abs(v), e
-            hi /= 2
-
-    return _sum_tail(strips(), tol, (0.995, 8, 12),
+    # / s / s: s * s underflows to 0 long before s does
+    field = _FnField(lambda s: phi(s) / s / s)
+    strips = _strip_chain(field, lambda lo, hi: (lo, hi), t, tol, 3000)
+    return _sum_tail(strips, tol, (0.995, 8, 12),
                      f"Dini integral of {phi.label}")[0]
 
 

@@ -219,8 +219,9 @@ class _ModularEngine:
     into a table of every known panel's (value, abs_value, err).  The
     pass's adaptive walk reads known panels from that table and evaluates
     the others in batches: the two halves of a split, and the first panels
-    of the next `quadrature.STRIP_LOOKAHEAD` graded strips.  A batch is one
-    call of f and the weight and one Phi call.  So a root-finding probe
+    of the next `quadrature.STRIP_LOOKAHEAD` graded strips, which answer
+    every strip that needs no split.  A batch is one call of f and the
+    weight and one Phi call.  So a root-finding probe
     after the first costs one vectorised step per block of
     `quadrature.BLOCK_PANELS` panels plus one per batch of panels no
     earlier pass evaluated, with every result bit for bit the
@@ -361,6 +362,12 @@ def _lux_root(modular_fn, lam0):
     after two secant steps in a row that failed to halve it.  A probe
     within MODULAR_TARGET_TOL of 1 is returned; otherwise the search ends
     when the bracket is BRACKET_FLOOR * hi wide and returns hi.
+
+    A vanishing input, whose modular stays at most 1 down to VANISH_LAMBDA,
+    has norm 0 with the bracket (0, VANISH_LAMBDA).  Only halving can meet
+    one: once the first halving still reads at most 1, one probe at
+    VANISH_LAMBDA decides it.  Doubling never probes there, as a modular
+    above 1 at a finite scale rules it out.
     """
 
     def mod(lam):
@@ -369,16 +376,9 @@ def _lux_root(modular_fn, lam0):
         except DivergenceError:
             return np.inf
 
-    iters = 0
-    # vanishing input: even an absurdly small scale keeps the modular small
-    m_tiny = mod(VANISH_LAMBDA)
-    iters += 1
-    if m_tiny <= 1.0:
-        return LuxResult(0.0, m_tiny, iters, (0.0, VANISH_LAMBDA))
-
     lam = max(lam0, VANISH_LAMBDA * 1e10)
     m = mod(lam)
-    iters += 1
+    iters = 1
     lo = None
     divergent_run = 1 if np.isinf(m) else 0
     while m > 1.0:
@@ -405,6 +405,13 @@ def _lux_root(modular_fn, lam0):
         m_lo = mod(lo)
         iters += 1
         _check_decrease(m_lo, m_hi)
+        if m_lo <= 1.0:
+            # vanishing input: even an absurdly small scale keeps the
+            # modular small
+            m_tiny = mod(VANISH_LAMBDA)
+            iters += 1
+            if m_tiny <= 1.0:
+                return LuxResult(0.0, m_tiny, iters, (0.0, VANISH_LAMBDA))
         while m_lo <= 1.0:
             hi, m_hi = lo, m_lo
             lo /= 2.0

@@ -22,16 +22,19 @@ it is first integrated, summed block-wise in `_table`, and `_panels` adds
 each panel it evaluates; the row sums of `_sums` are bit for bit those of
 one panel.  `_panels` answers known panels from the table and evaluates
 the others in one batch: `_adapt` asks for both halves of a split at once,
-and a graded strip chain asks for the first panels of its next
-STRIP_LOOKAHEAD strips at once.  A Luxembourg solve maps its one store
-afresh for each modular pass, so a pass after the first re-sums the panels
-of the passes before it in one vectorised step per block.
+and a strip chain asks for the first panels of its next STRIP_LOOKAHEAD
+strips at once.  A Luxembourg solve maps its one store afresh for each
+modular pass, so a pass after the first re-sums the panels of the passes
+before it in one vectorised step per block.
 
 Improper integrals (the real line, boundary singularities y^a with a > -1,
 the half-plane) are cut into doubling shells or strips halving toward y = 0,
 and one driver, `_sum_tail`, sums them: it detects divergence from sustained
 non-decay of the piece masses rather than from magnitude caps, which
-misclassify slowly-decaying convergent integrands.
+misclassify slowly-decaying convergent integrands.  One strip chain,
+`_strip_chain`, cuts the strips of a graded box and of the Dini integral
+(`growth`); a strip whose first panel already meets `_adapt`'s stop rule
+is that panel, with no `_adapt` call.
 """
 
 import cmath
@@ -183,8 +186,10 @@ class _FnField(PanelField):
 
     A panel rect is (x0, x1) for a 1-D fn or (x0, x1, y0, y1) for a 2-D one.
     fn is called once per `batch(rects)`, on the flat RULE nodes of every
-    rect, one rect after another.  It serves the one-shot integrals of
-    `integrate_1d`, which never revisit a panel.
+    rect, one rect after another.  It serves integrals that never revisit
+    a panel: those of `integrate_1d` and the Dini integral's strip chain
+    (`growth._dini_integral`), whose `known` table holds every panel sum
+    it needs again.
     """
 
     def __init__(self, fn):
@@ -312,24 +317,34 @@ def _split(rect):
             rect[:k] + (mid, hi) + rect[k + 2:])
 
 
+def _empty(rect):
+    """Whether a rect has an interval of zero length."""
+    return any(lo == hi for lo, hi in zip(rect[::2], rect[1::2]))
+
+
+def _err_bound(value, aval, tol):
+    """The error at which `_adapt` stops refining: the largest of
+    tol * |value|, the float noise floor 4e-16 * |field|-mass (below it
+    refinement only chases roundoff) and ABS_FLOOR."""
+    return max(tol * abs(value), 4e-16 * aval, ABS_FLOOR)
+
+
 def _adapt(field, rect, tol):
     """Worst-first adaptive integral of a field over a rect of one or two
     intervals; return (value, abs_value, err).
 
     The worst panel is split across its longest edge until the summed error
-    is within tol * |value|, the float noise floor 4e-16 * |field|-mass
-    (below it refinement only chases roundoff) or ABS_FLOOR.  More than
-    MAX_PANELS splits raise AccuracyError, and so does a NaN (it compares
-    False, so the loop stops on it as if converged); an infinite value
-    raises DivergenceError.
+    is within `_err_bound`.  More than MAX_PANELS splits raise
+    AccuracyError, and so does a NaN (it compares False, so the loop stops
+    on it as if converged); an infinite value raises DivergenceError.
     """
-    if any(lo == hi for lo, hi in zip(rect[::2], rect[1::2])):
+    if _empty(rect):
         return 0.0, 0.0, 0.0
     dim = len(rect) // 2
     [(value, aval, err)] = _panels(field, (rect,))
     heap = [(-err, 0, rect, value, aval, err)]
     total, total_abs, total_err, seq = value, aval, err, 0
-    while total_err > max(tol * abs(total), 4e-16 * total_abs, ABS_FLOOR) and heap:
+    while total_err > _err_bound(total, total_abs, tol) and heap:
         if seq >= MAX_PANELS[dim]:
             raise AccuracyError(
                 f"{dim}-D quadrature used {seq} panels without reaching tol={tol}"
@@ -434,8 +449,8 @@ def integrate_1d_line(f, tol=1e-10):
 
 
 def integrate_box(field, rect, tol=1e-8):
-    """Adaptive tensor-product integral of a Field2D over a rectangle
-    (x0, x1, y0, y1); see `_adapt`.
+    """Adaptive integral of a field over a rectangle (x0, x1, y0, y1), or
+    over an interval (x0, x1) for a 1-D field; see `_adapt`.
 
     Returns
     -------
@@ -446,32 +461,49 @@ def integrate_box(field, rect, tol=1e-8):
     return _adapt(field, rect, tol)
 
 
-def integrate_box_graded(field, x0, x1, y_top, tol=1e-8):
-    """Integral over (x0, x1) x (0, y_top] by strips halving toward y = 0.
+def _strip_chain(field, strip, top, tol, count):
+    """The (value, abs_value, err) of count strips halving toward 0 from
+    top, the strip (lo, hi) being the rect `strip(lo, hi)`: the pieces a
+    graded integral hands to `_sum_tail`.
 
     The strips come in runs of STRIP_LOOKAHEAD, and the first panels of a
     run are evaluated in one `_panels` call before its first strip is
-    integrated, so most strips, which need no split, find their panel in
-    the field's `known` table.  That call only looks ahead: if it raises,
-    each strip of the run evaluates its own panel, and the error comes
-    back when the chain reaches the strip that raised it, or never.
+    reached.  A strip whose first panel has a finite value and an error
+    within `_err_bound` is that panel's triple, bit for bit what
+    `integrate_box` would return; any other strip, and an empty one, goes
+    through `integrate_box`.  The lookahead only looks ahead: if it
+    raises, each strip of the run goes through `integrate_box`, and the
+    error comes back when the chain reaches the strip that raised it, or
+    never.
     """
+    hi = top
+    for _ in range(0, count, STRIP_LOOKAHEAD):
+        run = []
+        for _ in range(STRIP_LOOKAHEAD):
+            run.append(strip(hi / 2, hi))
+            hi /= 2
+        try:
+            firsts = _panels(field, run)
+        except Exception:  # whatever the caller's fn raises, deferred
+            firsts = [None] * len(run)
+        for rect, first in zip(run, firsts):
+            if first is not None and not _empty(rect):
+                value, aval, err = first
+                if (err <= _err_bound(value, aval, tol)
+                        and cmath.isfinite(value)):
+                    yield first
+                    continue
+            yield integrate_box(field, rect, tol=tol)
 
-    def strips():
-        hi = y_top
-        for _ in range(0, MAX_STRIPS, STRIP_LOOKAHEAD):
-            run = []
-            for _ in range(STRIP_LOOKAHEAD):
-                run.append((x0, x1, hi / 2, hi))
-                hi /= 2
-            try:
-                _panels(field, run)
-            except Exception:  # whatever the caller's fn raises, deferred
-                pass
-            for rect in run:
-                yield integrate_box(field, rect, tol=tol)
 
-    return _sum_tail(strips(), tol, (0.95, 6, 12), "mass near y=0")
+def integrate_box_graded(field, x0, x1, y_top, tol=1e-8):
+    """Integral over (x0, x1) x (0, y_top] by strips halving toward y = 0,
+    run by `_strip_chain`: most strips, which need no split, are answered
+    from the chain's lookahead, and the rest go through `integrate_box`.
+    """
+    strips = _strip_chain(field, lambda lo, hi: (x0, x1, lo, hi), y_top,
+                          tol, MAX_STRIPS)
+    return _sum_tail(strips, tol, (0.95, 6, 12), "mass near y=0")
 
 
 def integrate_halfplane(field, tol=1e-8):

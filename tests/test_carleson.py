@@ -18,7 +18,8 @@ from bergman_orlicz import growth as G
 from bergman_orlicz import lattice as L
 from bergman_orlicz import orlicz as O
 from bergman_orlicz import quadrature as Q
-from bergman_orlicz.errors import DivergenceError, ParameterError
+from bergman_orlicz.errors import (AccuracyError, DivergenceError,
+                                   ParameterError)
 from bergman_orlicz.halfplane import Box, CarlesonSquare, HPoint, StripUnion
 from bergman_orlicz.orlicz import (
     LatticeSequence,
@@ -334,6 +335,35 @@ def test_membership_stage_cap():
     member, lux = C.berezin_membership(mu, T2, T1, stage_max=2)
     assert not member
     assert lux > 0.0
+
+
+# a stage whose box misses the measure gives no evidence; each of these once
+# returned (True, 0.0) from two empty stages in a row
+FAR_BOX = density_measure(None, support=Box(50.0, 51.0, 0.0, 1.0), alpha=-0.7)
+
+
+@pytest.mark.parametrize("mu,stage_max,member", [
+    # stages 1-3 miss an atom at height 0.1
+    (atomic_measure([(HPoint(0.1, 0.1), 1.0)]), None, True),
+    # stages 1-5 miss a box at x = 50; 6 and 7 meet it
+    (FAR_BOX, None, False),
+    # stages 1 and 2 miss a box below y = 1/4; the unit box's verdicts at
+    # 13 stages are the same: a member at tau -0.3, none at -0.7
+    (density_measure(None, support=Box(0.0, 0.25, 0.0, 0.25), alpha=-0.3),
+     13, True),
+    (density_measure(None, support=Box(0.0, 0.25, 0.0, 0.25), alpha=-0.7),
+     13, False),
+], ids=["atom", "far box", "small box -0.3", "small box -0.7"])
+def test_membership_skips_stages_that_miss_the_measure(mu, stage_max, member):
+    got, lux = C.berezin_membership(mu, T2, T1, stage_max=stage_max)
+    assert got is member
+    assert lux > 0.0
+
+
+@pytest.mark.parametrize("stage_max,met", [(5, 0), (6, 1)])
+def test_membership_on_fewer_than_two_stages_raises(stage_max, met):
+    with pytest.raises(AccuracyError, match=f"rests on {met} of {stage_max}"):
+        C.berezin_membership(FAR_BOX, T2, T1, stage_max=stage_max)
 
 
 # ------------------------------------------------------- embedding verdicts

@@ -9,7 +9,9 @@ import numpy as np
 import pytest
 
 from bergman_orlicz import growth as G
-from bergman_orlicz.errors import OverflowBracketError, ParameterError
+from bergman_orlicz import quadrature as Q
+from bergman_orlicz.errors import (AccuracyError, DivergenceError,
+                                   OverflowBracketError, ParameterError)
 
 # frozen: conjugate of t^2 log(1+t) at sample points
 CONJ_POWERLOG = {
@@ -284,3 +286,70 @@ def test_array_matches_scalar():
     vec = phi(ts)
     for i, t in enumerate(ts):
         assert vec[i] == phi(float(t))
+
+
+def _dini_strip_by_strip(phi, t, tol=1e-9):
+    """`growth._dini_integral` with one `integrate_1d` call per strip, as it
+    was before its strips ran on the quadrature layer's strip chain."""
+
+    def strips():
+        hi = t
+        for _ in range(3000):
+            v, e = Q.integrate_1d(lambda s: phi(s) / s / s, hi / 2, hi,
+                                  tol=tol)
+            yield v, abs(v), e
+            hi /= 2
+
+    return Q._sum_tail(strips(), tol, (0.995, 8, 12),
+                       f"Dini integral of {phi.label}")[0]
+
+
+@pytest.mark.parametrize("phi", [G.power(1.5), G.power(1.03),
+                                 G.power_log(2, 1, 2)],
+                         ids=["t^1.5", "t^1.03", "power_log"])
+def test_dini_chain_keeps_the_strip_by_strip_bits(phi):
+    for t in (1e-6, 3e-2, 1.0, 7e3, 1e6):
+        assert (G._dini_integral(phi, t).hex()
+                == _dini_strip_by_strip(phi, t).hex())
+
+
+@pytest.mark.parametrize("phi,error", [(G.power(1.02), AccuracyError),
+                                       (G.power(1.0), DivergenceError)],
+                         ids=["t^1.02", "t"])
+def test_dini_chain_keeps_its_errors(phi, error):
+    messages = []
+    for run in (G._dini_integral, _dini_strip_by_strip):
+        with pytest.raises(error) as e:
+            run(phi, 1.0)
+        messages.append(str(e.value))
+    assert messages[0] == messages[1]
+
+
+def test_dini_chain_drops_errors_past_its_stop():
+    # t^2 / s^2 = 1 sums the strips 2^-k of (0, 1] until strip 33, (2^-33,
+    # 2^-32], in the run of strips 31-35, whose lookahead batch reaches
+    # 2^-35; below 2^-34 this Phi raises
+    raised = []
+
+    def fn(s):
+        if (s < 2.0 ** -34).any():
+            raised.append(s.size)
+            raise OverflowBracketError("past the chain's stop")
+        return s * s
+
+    phi = G.custom(fn, label="raising t^2")
+    assert G._dini_integral(phi, 1.0).hex() == _dini_strip_by_strip(
+        phi, 1.0).hex() == G._dini_integral(G.power(2), 1.0).hex()
+    assert raised
+
+
+def test_dini_chain_raises_errors_it_reaches():
+    def fn(s):
+        if (s < 2.0 ** -20).any():
+            raise OverflowBracketError("within the chain's reach")
+        return s * s
+
+    phi = G.custom(fn, label="raising t^2")
+    for run in (G._dini_integral, _dini_strip_by_strip):
+        with pytest.raises(OverflowBracketError, match="within"):
+            run(phi, 1.0)

@@ -131,6 +131,46 @@ def test_lux_vanishing_input():
     assert r.value == 0.0
 
 
+ZERO = lambda z: np.zeros_like(z, dtype=float)
+
+
+@pytest.mark.parametrize("f,support", [
+    (ZERO, None),
+    (ZERO, Box(0.0, 1.0, 0.0, 1.0)),
+    # no quadrature node comes within 1e-12 of the bump's centre
+    (lambda z: np.where(np.abs(z - (0.3 + 0.7j)) < 1e-12, 1e6, 0.0),
+     Box(0.0, 1.0, 0.5, 1.5)),
+], ids=["zero plane", "zero box", "tiny bump"])
+def test_lux_vanishing_density(f, support):
+    # the start scale and its first halving read a modular of at most 1,
+    # so the solve probes VANISH_LAMBDA third
+    r = O.luxembourg(f, O.valpha_measure(0.0, support), G.power_log(2, 1, 2))
+    assert r == O.LuxResult(0.0, 0.0, 3, (0.0, O.VANISH_LAMBDA))
+
+
+def test_lux_doubling_never_probes_the_vanishing_scale(monkeypatch):
+    # a modular above 1 at the start scale rules out a vanishing input
+    lams = []
+    modular_at = O._ModularEngine.modular_at
+
+    def traced(engine, psi, lam, tol):
+        lams.append(lam)
+        return modular_at(engine, psi, lam, tol)
+
+    monkeypatch.setattr(O._ModularEngine, "modular_at", traced)
+    r = O.luxembourg(PLANE_DECAY, O.valpha_measure(0.0),
+                     G.power_log(2.5, 1.0, 2.0), tol=1e-6)
+    assert r.value.hex() == BISECTION_PINS[0][7][0]
+    assert len(lams) == r.iterations and O.VANISH_LAMBDA not in lams
+
+
+def test_lux_divergent_at_every_scale_is_not_in_space():
+    # |f|^2 y^-0.5 = y^-2.5 is not integrable at y = 0 for any scale
+    mu = O.valpha_measure(-0.5, Box(0.0, 1.0, 0.0, 1.0))
+    with pytest.raises(NotInSpaceError, match="divergent for all probed"):
+        O.luxembourg(lambda z: 1.0 / np.imag(z), mu, G.power_log(2, 1, 2))
+
+
 def test_lux_type_bounds_fitted_constant():
     # modular and norm control each other through the index powers
     rng = np.random.default_rng(41)
@@ -468,24 +508,24 @@ BISECTION_PINS = [
      G.power_log(2.5, 1.0, 2.0), 1e-6,
      lambda lam: abs(QO.decay_plane_modular(QO.power_log(2.5, 1, 2), 1.25,
                                             3.0, lam) - 1.0), 1e-6,
-     ("0x1.cc743b432a03ep-2", "0x1.ffffffff625f3p-1", 8)),
+     ("0x1.cc743b432a03ep-2", "0x1.ffffffff625f3p-1", 7)),
     ("plane custom t^2.5", PLANE_DECAY, O.valpha_measure(0.0),
      G.custom(lambda t: np.power(t, 2.5), label="t^2.5"), 1e-6,
      lambda lam: abs(lam / B.decay_modular_exact(1.25, 3.0, 2.5) ** 0.4 - 1),
-     1e-7, ("0x1.b4da87b0f4534p-2", "0x1.fffffffffffffp-1", 4)),
+     1e-7, ("0x1.b4da87b0f4534p-2", "0x1.fffffffffffffp-1", 3)),
     ("graded box power_log", B.decay(1.0, 3.0),
      O.valpha_measure(0.0, Box(0.0, 1.0, 0.0, 1.0)), G.power_log(2, 1, 2),
      1e-8, lambda lam: abs(QO.box_modular(
          PLOG2, lambda x, y: ((1 + y) ** 2 + x * x) ** -1.5 / lam,
          0.0, 1.0, 0.0, 1.0) - 1.0), 1e-8,
-     ("0x1.83de1b4fd5703p-2", "0x1.fffffffff9314p-1", 7)),
+     ("0x1.83de1b4fd5703p-2", "0x1.fffffffff9314p-1", 6)),
     # the weight-callable path: z -> 2z pulls Lebesgue measure back to the
     # density 1/4 on the whole plane
     ("mobius power_log", PLANE_DECAY, O.mobius_measure(2, 0, 0, 1, 0),
      G.power_log(2.5, 1.0, 2.0), 1e-6,
      lambda lam: abs(0.25 * QO.decay_plane_modular(
          QO.power_log(2.5, 1, 2), 1.25, 3.0, lam) - 1.0), 1e-6,
-     ("0x1.19fd4fc5bead6p-2", "0x1.ffffffffffd77p-1", 7)),
+     ("0x1.19fd4fc5bead6p-2", "0x1.ffffffffffd77p-1", 6)),
     # the w == 0 mask path: the weight underflows to 0 for |x| > 0.864
     ("zero-weight box power_log", B.decay(1.0, 3.0),
      O.density_measure(lambda z: np.exp(-1000 * np.real(z) ** 2),
@@ -570,8 +610,8 @@ def test_lux_increasing_modular_raises():
 
 
 def test_lux_bisection_passes_reuse_the_store(monkeypatch):
-    # f is fed 152,064 nodes: the 140,544 of the panels the solve integrates
-    # and 11,520 more of graded strips that a lookahead batch evaluates past
+    # f is fed 119,424 nodes: the 110,464 of the panels the solve integrates
+    # and 8,960 more of graded strips that a lookahead batch evaluates past
     # the end of their chain.  A pass calls Phi at most once per stored
     # block plus once per batch of panels that no earlier pass evaluated,
     # where panel by panel it was once per panel
@@ -604,11 +644,11 @@ def test_lux_bisection_passes_reuse_the_store(monkeypatch):
     r = O.luxembourg(f, O.valpha_measure(0.0), phi, tol=1e-6)
     assert BISECTION_PINS[0][5](r.value) <= BISECTION_PINS[0][6]
     assert r.value.hex() == BISECTION_PINS[0][7][0]
-    assert sum(sizes) == 152064
-    assert len(passes) == r.iterations == 8
+    assert sum(sizes) == 119424
+    assert len(passes) == r.iterations == 7
     for calls, new_batches, blocks in passes:
         assert calls <= blocks + new_batches
-    # the first pass calls Phi once per batch it evaluates; over the 8
+    # the first pass calls Phi once per batch it evaluates; over the 7
     # passes Phi runs fewer than 3 times per panel, where panel by panel it
     # ran once per panel per pass
     assert passes[0][0] == passes[0][1] > 0
@@ -721,4 +761,4 @@ def test_lux_seed_off_the_fixed_panel():
             -0.5, 0.5, -0.5, 0.5) - 1.0) <= 1e-8
         assert abs(r.modular_at_value - 1.0) <= 1e-8
         steps.append(r.iterations)
-    assert steps[1] <= steps[0] == 8
+    assert steps[1] <= steps[0] == 7

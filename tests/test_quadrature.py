@@ -1,5 +1,7 @@
 """Tests for the adaptive quadrature layer."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,8 @@ from bergman_orlicz import growth as G
 from bergman_orlicz import halfplane as H
 from bergman_orlicz import orlicz as O
 from bergman_orlicz import quadrature as Q
-from bergman_orlicz.errors import AccuracyError, DivergenceError
+from bergman_orlicz.errors import (AccuracyError, BergmanOrliczError,
+                                   DivergenceError)
 
 import quad_oracles as QO
 
@@ -371,3 +374,118 @@ def test_one_shot_integrals_keep_their_bits():
     assert [H.disk_measure(disk, a).hex() for a in (0.5, -0.5, 2.5)] == [
         "0x1.1e1012765600cp+0", "0x1.2ce409aab1db1p+0", "0x1.5232cd62abf7dp+0"]
 
+
+
+def _graded_strip_by_strip(field, x0, x1, y_top, tol):
+    """`integrate_box_graded` with one `integrate_box` call per strip after
+    its run's lookahead batch, as it was before converged strips were
+    answered from that batch."""
+
+    def strips():
+        hi = y_top
+        for _ in range(0, Q.MAX_STRIPS, Q.STRIP_LOOKAHEAD):
+            run = []
+            for _ in range(Q.STRIP_LOOKAHEAD):
+                run.append((x0, x1, hi / 2, hi))
+                hi /= 2
+            try:
+                Q._panels(field, run)
+            except Exception:
+                pass
+            for rect in run:
+                yield Q.integrate_box(field, rect, tol=tol)
+
+    return Q._sum_tail(strips(), tol, (0.95, 6, 12), "mass near y=0")
+
+
+def _outcome(run, *args):
+    """The float.hex of both parts of each returned value, or the type and
+    message of the error raised."""
+    try:
+        values = run(*args)
+    except BergmanOrliczError as e:
+        return type(e).__name__, str(e)
+    return [(complex(v).real.hex(), complex(v).imag.hex()) for v in values]
+
+
+GRADED_FIELDS = {
+    "cos/sqrt(y)": lambda x, y: np.cos(x) / np.sqrt(y),
+    "y^-0.7 peak": lambda x, y: y ** -0.7 / (1e-3 + (x - 0.3) ** 2),
+    "underflow": lambda x, y: np.exp(-300.0 * y),
+    "constant": lambda x, y: np.ones_like(x),
+    "complex": lambda x, y: np.exp(3j * x) * np.log(y) ** 2,
+    "modular pass": lambda x, y: O._phi_step(G.power_log(2.5, 1, 2), 0.4)(
+        None, O._pack(np.abs(1.0 - 1j * (x + 1j * y)) ** -3, y ** -0.5)),
+}
+
+
+@pytest.mark.parametrize("tol", [1e-6, 1e-9, 1e-12])
+@pytest.mark.parametrize("name", sorted(GRADED_FIELDS))
+def test_graded_chain_keeps_the_strip_by_strip_bits(name, tol):
+    fn = GRADED_FIELDS[name]
+    outcomes = [_outcome(run, Q.Field2D(fn), -1.0, 2.0, 1.5, tol)
+                for run in (Q.integrate_box_graded, _graded_strip_by_strip)]
+    assert outcomes[0] == outcomes[1]
+
+
+def test_graded_chain_divergence_keeps_its_message():
+    outcomes = [_outcome(run, Q.Field2D(lambda x, y: 1.0 / y), 0.0, 1.0, 1.0,
+                         1e-9)
+                for run in (Q.integrate_box_graded, _graded_strip_by_strip)]
+    assert outcomes[0] == outcomes[1]
+    assert outcomes[0][0] == "DivergenceError"
+
+
+def _raising_below(y_min, raised):
+    """1 on the unit box; where a node lies below y_min, the log of a
+    negative number gives a RuntimeWarning, which the tests make an error,
+    and `raised` records it."""
+
+    def fn(x, y):
+        raised.append(bool((y < y_min).any()))
+        return np.ones_like(x) + 0.0 * np.log(y - y_min)
+
+    return fn
+
+
+def test_graded_chain_lookahead_errors_past_its_stop_are_dropped():
+    # at tol 1e-7 the constant field's chain stops at strip 27, (2^-27,
+    # 2^-26], in the run of strips 26-30; that run's lookahead batch
+    # reaches strip 30, (2^-30, 2^-29], and raises there
+    outcomes = []
+    for run in (Q.integrate_box_graded, _graded_strip_by_strip):
+        raised = []
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            outcomes.append(_outcome(
+                run, Q.Field2D(_raising_below(2.0 ** -29, raised)),
+                0.0, 1.0, 1.0, 1e-7))
+        assert any(raised)
+    assert outcomes[0] == outcomes[1] == _outcome(
+        Q.integrate_box_graded, Q.Field2D(GRADED_FIELDS["constant"]),
+        0.0, 1.0, 1.0, 1e-7)
+
+
+def test_graded_chain_reached_errors_come_back():
+    # the chain reaches strip 21, (2^-21, 2^-20], at tol 1e-8
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for run in (Q.integrate_box_graded, _graded_strip_by_strip):
+            with pytest.raises(RuntimeWarning, match="invalid value"):
+                run(Q.Field2D(_raising_below(2.0 ** -20, [])), 0.0, 1.0, 1.0,
+                    1e-8)
+
+
+def test_graded_chain_infinite_first_panel_raises():
+    # a pole on an order-16 node of the first strip, (0, 1) x (0.5, 1]:
+    # that order's sum is inf and the order-8 one finite, so the error is
+    # inf and within tol * |value|, and only the value tells the strip out
+    x, y = Q._panel_nodes((0.0, 1.0, 0.5, 1.0), (Q.ORDER_HIGH,))
+    pole = x[37] + 1j * y[37]
+    outcomes = []
+    for run in (Q.integrate_box_graded, _graded_strip_by_strip):
+        field = Q.Field2D(lambda x, y: np.abs(1.0 / (x + 1j * y - pole)) ** 2)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            outcomes.append(_outcome(run, field, 0.0, 1.0, 1.0, 1e-8))
+    assert outcomes[0] == outcomes[1]
+    assert outcomes[0][0] == "DivergenceError"
