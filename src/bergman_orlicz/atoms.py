@@ -55,16 +55,6 @@ def _gram(lat, alpha):
     return keys, centers, w, g
 
 
-def atom_gram(lat, alpha=0.0):
-    """Gram matrix of the atoms in the weighted Bergman inner product.
-
-    Entries come from the reproducing identity: the inner product of
-    two kernels is a kernel value over the reproducing constant.
-    """
-    keys, _, _, g = _gram(lat, alpha)
-    return keys, g
-
-
 RESIDUAL_TOL = 1e-4
 
 

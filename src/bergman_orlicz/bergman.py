@@ -5,7 +5,7 @@ the principal branch, which is safe because (z - conj(w))/i has real
 part Im z + Im w > 0 whenever both points are in the upper half-plane.
 The kernel that actually reproduces point values against the weight
 y**alpha is this one times the constant (alpha+1) * 2**alpha / pi, and
-`project` / `positive_op` include that constant.
+`project` includes that constant.
 
 Reference functions: the decay family (1 - i*eps*z)**(-m), whose
 p-th-power weighted integrals have a closed beta-function form, and
@@ -302,18 +302,6 @@ def project(F, z, alpha=0.0, tol=1e-6):
     return c * _integrate(integrand, alpha, None, tol=tol)
 
 
-def positive_op(F, z, alpha=0.0, tol=1e-6):
-    """Same integral with absolute values on both factors."""
-    _check_alpha(alpha)
-    zz = _as_complex(z)
-    c = reproducing_constant(alpha)
-
-    def integrand(w):
-        return np.abs(kernel(zz, w, alpha)) * np.abs(F(w))
-
-    return c * _integrate(integrand, alpha, None, tol=tol)
-
-
 def pointwise_bound_check(F, phi, alpha=0.0, z_list=(), tol=1e-8):
     """Largest ratio of |F(z)| to the norm-scaled growth envelope.
 
@@ -392,12 +380,14 @@ def sequence_from_json(obj):
         k = (_lattice.as_index(row[0]), _lattice.as_index(row[1]))
         entries[k] = complex(number(row, 2, what), number(row, 3, what))
     if "window" in obj:
-        window = obj["window"]
+        window = need(obj, "window", "sequence", 2)
     else:
         window = (max(abs(k[0]) for k in entries),
                   max(abs(k[1]) for k in entries))
+    gamma = obj.get("gamma")
     lat = _lattice.build(number(obj, "delta", "sequence", 0.5), window,
-                         obj.get("gamma"))
+                         None if gamma is None else
+                         number(obj, "gamma", "sequence"))
     return LatticeSequence(entries, lat)
 
 
@@ -409,17 +399,3 @@ def sequence_to_json(seq):
     return {"sequence": rows, "delta": lat.delta,
             "window": list(lat.window), "gamma": lat.gamma}
 
-
-def fn_to_json(F):
-    """Inverse of `fn_from_json` for the closed-form variants."""
-    p = F.params
-    if F.kind in ("kernel", "normalized_kernel"):
-        return {F.kind: {"wx": p["w"].x, "wy": p["w"].y,
-                         "alpha": p["alpha"]}}
-    if F.kind == "decay":
-        return {"g": {"eps": p["eps"], "m": p["m"]}}
-    if F.kind == "const":
-        return {"const": [p["value"].real, p["value"].imag]}
-    if F.kind == "atom_sum":
-        return {"atoms": {**sequence_to_json(p["seq"]), "alpha": p["alpha"]}}
-    raise ParameterError(f"{F.kind!r} functions have no wire format")

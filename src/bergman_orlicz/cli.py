@@ -40,6 +40,8 @@ from .errors import (
     NotInSpaceError,
     OverflowBracketError,
     ParameterError,
+    need,
+    number,
 )
 from .halfplane import HPoint, region_from_json
 
@@ -88,12 +90,10 @@ def _parse_point(text):
 
 
 def _lattice_from_json(obj):
-    if not isinstance(obj, dict) or "delta" not in obj:
-        raise ParameterError(f"lattice spec needs a 'delta' key: {obj!r}")
-    window = obj.get("window")
-    if window is None:
-        raise ParameterError("lattice spec needs a 'window' [L, J] pair")
-    return lattice_mod.build(float(obj["delta"]), window, obj.get("gamma"))
+    gamma = obj.get("gamma") if isinstance(obj, dict) else None
+    return lattice_mod.build(
+        number(obj, "delta", "lattice"), need(obj, "window", "lattice", 2),
+        None if gamma is None else number(obj, "gamma", "lattice"))
 
 
 def _json_safe(x):

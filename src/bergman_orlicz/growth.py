@@ -18,7 +18,7 @@ from functools import partial
 import numpy as np
 
 from .errors import (DivergenceError, OverflowBracketError, ParameterError,
-                     need)
+                     need, number)
 from .quadrature import _FnField, _strip_chain, _sum_tail
 
 GRID_POINTS = 400
@@ -282,7 +282,7 @@ def power_transform(phi, s):
     if phi.family == "power" and phi.params["coef"] == 1.0:
         return power(float(s))
     return _PowerTransform("power_transform", f"({phi.label})_[{s:g}]",
-                           {"base": phi, "exponent": float(s) / a, "s": float(s)})
+                           {"base": phi, "exponent": float(s) / a})
 
 
 def indices(phi, grid=None):
@@ -452,29 +452,6 @@ def embedding_condition_check(phi1, phi2, grid=None):
     return holds, constant, monotone
 
 
-def equivalence_check(phi1, phi2, grid=None, cap=1e6):
-    """Two-sided equivalence on a grid: phi2(t) <= phi1(c t) and vice versa.
-
-    Returns (equivalent, c) with c >= 1 the smallest grid-fitted constant;
-    c is reported as found and c > 1 is never asserted.
-    """
-    t = np.logspace(-6, 6, 200) if grid is None else np.asarray(grid)
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore", under="ignore"):
-        c12 = inverse_vec(phi1, phi2(t)) / t
-        c21 = inverse_vec(phi2, phi1(t)) / t
-    both = np.concatenate([c12, c21])
-    both = both[np.isfinite(both)]
-    if both.size == 0:
-        return False, math.inf
-    c = max(1.0, float(np.max(both)))
-    inner_mask = (t >= 1e-3) & (t <= 1e3)
-    inner = np.concatenate([c12[inner_mask], c21[inner_mask]])
-    inner = inner[np.isfinite(inner)]
-    c_inner = max(1.0, float(np.max(inner, initial=1.0)))
-    stable = c <= 1.1 * c_inner + 1e-9
-    return (c < cap and stable), c
-
-
 def young_report(phi, n=100, t_lo=1e-3, t_hi=1e3):
     """Young-inequality audit for phi and its conjugate on an n x n grid.
 
@@ -507,44 +484,27 @@ def young_report(phi, n=100, t_lo=1e-3, t_hi=1e3):
 def from_json(obj):
     """Build a growth function from its JSON description.
 
-    Formats: {"family":"power","p":2.0}, {"family":"power_log","p":..,"a":..,
-    "c":..}, {"family":"conjugate","of":{...}}, {"family":"composed_inverse",
-    "outer":{...},"inner":{...}}.
+    Formats: {"family":"power","p":2.0} with an optional "coef",
+    {"family":"power_log","p":..,"a":..,"c":..}, {"family":"conjugate",
+    "of":{...}}, {"family":"composed_inverse","outer":{...},"inner":{...}}
+    and {"family":"power_transform","base":{...},"s":..}.
     """
     if not isinstance(obj, dict) or "family" not in obj:
         raise ParameterError(f"not a growth-function spec: {obj!r}")
     fam = obj["family"]
-    get = partial(need, obj, what=f"growth-function family {fam!r}")
+    what = f"growth-function family {fam!r}"
+    get = partial(need, obj, what=what)
+    num = partial(number, obj, what=what)
     if fam == "power":
-        return power(float(get("p")), coef=float(obj.get("coef", 1.0)))
+        return power(num("p"), coef=num("coef", default=1.0))
     if fam == "power_log":
-        return power_log(float(get("p")), float(get("a")), float(get("c")))
+        return power_log(num("p"), num("a"), num("c"))
     if fam == "conjugate":
         return conjugate_of(from_json(get("of")))
     if fam == "composed_inverse":
         return composed_inverse(from_json(get("outer")),
                                 from_json(get("inner")))
     if fam == "power_transform":
-        return power_transform(from_json(get("base")), float(get("s")))
+        return power_transform(from_json(get("base")), num("s"))
     raise ParameterError(f"unknown growth-function family {fam!r}")
 
-
-def to_json(phi):
-    """Serialize a growth function built from JSON-able families."""
-    if phi.family == "power":
-        out = {"family": "power", "p": phi.params["p"]}
-        if phi.params["coef"] != 1.0:
-            out["coef"] = phi.params["coef"]
-        return out
-    if phi.family == "power_log":
-        return {"family": "power_log", **{k: phi.params[k] for k in ("p", "a", "c")}}
-    if phi.family == "conjugate":
-        return {"family": "conjugate", "of": to_json(phi.params["of"])}
-    if phi.family == "composed_inverse":
-        return {"family": "composed_inverse",
-                "outer": to_json(phi.params["outer"]),
-                "inner": to_json(phi.params["inner"])}
-    if phi.family == "power_transform":
-        return {"family": "power_transform",
-                "base": to_json(phi.params["base"]), "s": phi.params["s"]}
-    raise ParameterError(f"cannot serialize family {phi.family!r}")

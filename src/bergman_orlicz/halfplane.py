@@ -47,10 +47,6 @@ class HPoint:
     def z(self):
         return complex(self.x, self.y)
 
-    @classmethod
-    def from_complex(cls, z):
-        return cls(float(z.real), float(z.imag))
-
 
 @dataclass(frozen=True)
 class Disk:
@@ -347,15 +343,3 @@ def region_from_json(obj):
         return Disk(HPoint(cx, cy), s)
     raise ParameterError(f"unknown region variant {list(obj)[0]!r}")
 
-
-def region_to_json(region):
-    """Inverse of `region_from_json`; a Carleson square writes as its box."""
-    if region is None:
-        return "auto"
-    if isinstance(region, Box):
-        return {"box": [region.x_min, region.x_max,
-                        region.y_min, region.y_max]}
-    if isinstance(region, Disk):
-        return {"disk": {"cx": region.center.x, "cy": region.center.y,
-                         "s": region.s}}
-    raise ParameterError(f"region {type(region).__name__} has no wire format")

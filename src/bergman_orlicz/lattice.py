@@ -38,10 +38,6 @@ import numpy as np
 from .errors import ParameterError
 from .halfplane import Box, HPoint
 
-# apertures above this are fine for covering and decomposition work
-# but too coarse for the two-sided sampling inequality
-SAMPLING_DELTA_LIMIT = 1.0 / (1.0 + 7.0 * math.sqrt(2.0))
-
 _UNCOVERED_WITNESS_CAP = 20
 
 _INT = (int, np.integer)  # the types of a lattice index
@@ -89,11 +85,6 @@ class DeltaLattice:
     s_delta: float
     window: tuple
 
-    @property
-    def sampling_margin_ok(self):
-        """Whether delta is small enough for the sampling inequality."""
-        return self.delta < SAMPLING_DELTA_LIMIT
-
     def check_index(self, k):
         """Raise ParameterError unless k is a pair of ints in the window."""
         l_max, j_max = self.window
@@ -135,25 +126,13 @@ class DeltaLattice:
         return {(l, j): HPoint(x, y) for l, j, x, y in
                 zip(*(a.tolist() for a in self.index_arrays()))}
 
-    def covered_mask(self, x, y):
-        """Whether points lie in the zone tiled by the window's cells.
-
-        Vectorized over `x`, `y`.  The cells of a row tile one open
-        rectangle of `_zone_rects`, so the zone is the union of those.
-        """
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        out = np.zeros(np.broadcast(x, y).shape, dtype=bool)
-        for x0, x1, y0, y1 in _zone_rects(self):
-            out |= (x0 < x) & (x < x1) & (y0 < y) & (y < y1)
-        return out
-
 
 def as_index(v):
     """An index or window bound from outside the program as an int:
-    integral values such as 2.0 pass, any other value is a ParameterError."""
+    integral values such as 2.0 pass, any other value (JSON true and false
+    too) is a ParameterError."""
     try:
-        if int(v) == v:
+        if not isinstance(v, (bool, np.bool_)) and int(v) == v:
             return int(v)
     except (TypeError, ValueError, OverflowError):
         pass

@@ -18,10 +18,9 @@ re-sums the panels row-wise, and evaluates only what no earlier pass did,
 a batch of panels at a time (`_ModularEngine`).
 
 Sequence-space analogues live on lattice index sets with the lattice's
-row weights 2**(j*gamma*(alpha+2)); the Hardy variant takes
-per-horizontal-line norms and their supremum.  Sequences and lines are measures too (row
-weights on lattice points, Lebesgue measure on a line), so all three
-norms share one solve and any growth function works on each.
+row weights 2**(j*gamma*(alpha+2)).  A sequence is a measure too (row
+weights on lattice points), so both norms share one solve and any
+growth function works on each.
 """
 
 import math
@@ -495,13 +494,6 @@ def _seq_arrays(seq, alpha):
     return mags, row_weights([k[1] for k, _ in items], seq.lattice.gamma, alpha)
 
 
-def seq_modular(seq, phi, alpha, lam=1.0):
-    """Row-weighted modular of a lattice sequence."""
-    if not seq.entries:
-        return 0.0
-    return _discrete_modular(*_seq_arrays(seq, alpha), phi, lam)
-
-
 def seq_luxembourg(seq, phi, alpha):
     """Luxembourg norm on the weighted sequence space over the lattice.
 
@@ -515,51 +507,6 @@ def seq_luxembourg(seq, phi, alpha):
     return _solve(
         lambda psi, lam: _discrete_modular(mags, weights, psi, lam), phi,
         lambda: max(float(np.max(mags)), 1e-30))
-
-
-def hardy_norm(F, phi, y_grid=None, tol=1e-8):
-    """Sup over horizontal lines of the 1-D Luxembourg norms of F.
-
-    Each line norm goes through the same solve as `luxembourg`, with
-    Lebesgue measure on the line, so any growth function works: power
-    growth takes the p-norm identity (and one more line integral for the
-    modular at the value), anything else is root-found from scale 1.
-
-    Parameters
-    ----------
-    F : callable
-        Analytic function of z, vectorized.
-    phi : GrowthFunction
-    y_grid : sequence of float, optional
-        Heights to scan; default 16 points log-spaced over [1e-4, 10].
-        The per-line norm is nonincreasing in the height, so the sup
-        over (0, inf) is approached at the small end of the grid.
-
-    Returns
-    -------
-    (float, list of (y, norm))
-    """
-    if y_grid is None:
-        y_grid = np.logspace(-4, 1, 16)
-    ys = sorted(float(y) for y in y_grid)
-    if not ys or not all(0 < y < np.inf for y in ys):
-        raise ParameterError(f"y_grid must hold positive finite heights: {ys}")
-
-    per_line = []
-    for y in ys:
-        # |F| with unit weight, packed as a density's field is
-        field = Q.Field2D(lambda x: _pack(_finite_abs(F(x + 1j * y)), 1.0))
-
-        def line_modular(psi, lam):
-            mapped = Q.MappedField(field, _phi_step(psi, lam))
-            return float(Q.integrate_1d_line(mapped, tol=tol)[0])
-
-        try:
-            per_line.append((y, _solve(line_modular, phi, lambda: 1.0).value))
-        except (DivergenceError, NotInSpaceError) as e:
-            raise NotInSpaceError(
-                f"line norm at y={y:.6g} diverges ({e})") from e
-    return max(v for _, v in per_line), per_line
 
 
 def measure_from_json(obj):
@@ -594,16 +541,3 @@ def measure_from_json(obj):
                               number(m, "beta", "mobius", 0.0))
     raise ParameterError(f"unknown measure variant {list(obj)[0]!r}")
 
-
-def measure_to_json(mu):
-    """Inverse of `measure_from_json`."""
-    from .halfplane import region_to_json
-    if mu.atoms:
-        return {"atomic": [[p.x, p.y, m] for p, m in mu.atoms]}
-    if mu.mobius:
-        a, b, c, d = mu.mobius
-        return {"mobius": {"a": a, "b": b, "c": c, "d": d, "beta": mu.beta}}
-    if mu.weight is not None:
-        raise ParameterError("custom density weights have no wire format")
-    return {"density": {"kind": "valpha", "alpha": mu.alpha_base,
-                        "support": region_to_json(mu.support)}}

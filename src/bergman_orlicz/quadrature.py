@@ -431,7 +431,9 @@ def integrate_1d_line(f, tol=1e-10):
     the real line: [-1, 1], then shells +-[X, 2X].
 
     A shell is negligible against the summed |shell| values, not |integral|;
-    the two agree for the nonnegative integrands that all callers pass.
+    the two agree for nonnegative integrands.  Nothing in the package calls
+    it: it stays as the real-line entry point that `perfbench/tracer.py`
+    hooks.
     """
 
     def shells():

@@ -56,7 +56,3 @@ def disk_modular(phi, absf, x0, y0, r):
 
     return _quad(ring, 0.0, r)
 
-
-def line_modular(phi, absf):
-    """int Phi(absf(x)) dx over the real line, for an even absf."""
-    return 2.0 * _quad(lambda x: phi(absf(x)), 0.0, np.inf)

@@ -7,9 +7,8 @@ import pytest
 from bergman_orlicz import atoms, bergman, growth, lattice
 from bergman_orlicz.errors import (AccuracyError, ConditioningError,
                                    ParameterError)
-from bergman_orlicz.orlicz import (LatticeSequence, luxembourg,
-                                   seq_luxembourg, seq_modular,
-                                   valpha_measure)
+from bergman_orlicz.orlicz import (LatticeSequence, _seq_arrays, luxembourg,
+                                   seq_luxembourg, valpha_measure)
 
 T2 = growth.power(2)
 
@@ -69,7 +68,8 @@ def test_atom_coefficient_is_scale_times_sequence_weight(delta, alpha):
     for j in range(-20, 21):
         seq = LatticeSequence({(0, j): 1.0}, lat)
         coef = bergman.atom_sum(seq, alpha).params["coeffs"][0]
-        assert coef == scale * seq_modular(seq, growth.power(1), alpha), j
+        mags, weights = _seq_arrays(seq, alpha)
+        assert mags[0] == 1.0 and coef == scale * weights[0], j
 
 
 # ----------------------------------------------------------------- sample
@@ -90,11 +90,11 @@ def test_sample_of_decay_has_finite_seq_norm():
     assert np.isfinite(r.value) and r.value > 0
 
 
-# ------------------------------------------------------------- atom_gram
+# ------------------------------------------------------------- atom Gram
 
 def test_gram_hermitian_and_psd():
     lat = lattice.build(0.5, (2, 1))
-    _, g = atoms.atom_gram(lat, 0.0)
+    _, _, _, g = atoms._gram(lat, 0.0)
     assert np.allclose(g, g.conj().T, rtol=1e-14)
     w = np.linalg.eigvalsh(g)
     assert w.min() > -1e-10 * w.max()
@@ -104,7 +104,7 @@ def test_gram_diagonal_closed_form():
     # ||atom_{l,j}||^2 = c^2 w_j^2 K(z,z)/c' with K(z,z) = (2y)^(-2-a)
     lat = lattice.build(0.5, (1, 1))
     alpha = 1.0
-    keys, g = atoms.atom_gram(lat, alpha)
+    keys, _, _, g = atoms._gram(lat, alpha)
     c_a = 2.0 ** (alpha + 2.0)
     cp = bergman.reproducing_constant(alpha)
     for i, (l, j) in enumerate(keys):
@@ -120,7 +120,7 @@ def test_gram_form_is_the_synthesized_norm(alpha):
     # one quadratic form
     lat = lattice.build(0.5, (3, 1))
     rng = np.random.default_rng(29)
-    keys, g = atoms.atom_gram(lat, alpha)
+    keys, _, _, g = atoms._gram(lat, alpha)
     u = rng.normal(size=len(keys)) + 1j * rng.normal(size=len(keys))
     F = bergman.atom_sum(LatticeSequence(dict(zip(keys, u)), lat), alpha)
     direct = bergman.atom_norm_sq(F.params["centers"], F.params["coeffs"],
@@ -132,7 +132,7 @@ def test_gram_norm_matches_quadrature():
     lat = lattice.build(0.1, (6, 2))
     mu = LatticeSequence({(2, 1): 1.0 + 0.5j, (-3, 0): -0.7j}, lat)
     F = bergman.atom_sum(mu, 0.0)
-    keys, g = atoms.atom_gram(lat, 0.0)
+    keys, _, _, g = atoms._gram(lat, 0.0)
     vec = np.array([mu.entries.get(k, 0.0) for k in keys], dtype=complex)
     gram = np.sqrt(np.real(np.vdot(vec, g @ vec)))
     quad = luxembourg(F, valpha_measure(0.0), T2).value

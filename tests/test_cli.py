@@ -277,24 +277,52 @@ def test_growth_spec_missing_key_exits_2(capsys):
 FN_G = '{"g":{"eps":1,"m":3}}'
 
 
-@pytest.mark.parametrize("measure,fn", [
-    ('{"mobius":{"a":1,"b":0,"c":0}}', FN_G),
-    ('{"density":{"support":{"disk":{"cx":0,"cy":1}}}}', FN_G),
-    (UNIT_SQUARE_V0, '{"g":{"eps":1}}'),
-    ('{"atomic":[[0,1]]}', FN_G),
-    ('{"density":{"support":{"box":[0,1,0]}}}', FN_G),
-    ('{"density":{"support":{"box":["a",1,0,1]}}}', FN_G),
-    ('{"atomic":[["a",1,1]]}', FN_G),
-    ('{"atomic":5}', FN_G),
-    ('{"atomic":[[0,1,true]]}', FN_G),
-    ('{"mobius":{"a":1,"b":0,"c":0,"d":"1"}}', FN_G),
-    (UNIT_SQUARE_V0, '{"g":{"eps":"1","m":3}}'),
+def _lux(measure=UNIT_SQUARE_V0, fn=FN_G, phi=PHI_T2):
+    return ["luxnorm", "--phi", phi, "--measure", measure, "--fn", fn]
+
+
+def _sample(lattice):
+    return ["sample", "--fn", FN_G, "--lattice", lattice]
+
+
+def _atoms(extra):
+    return _lux(fn='{"atoms":{"sequence":[[0,0,1,0]],%s}}' % extra)
+
+
+@pytest.mark.parametrize("argv", [
+    _lux('{"mobius":{"a":1,"b":0,"c":0}}'),
+    _lux('{"density":{"support":{"disk":{"cx":0,"cy":1}}}}'),
+    _lux(fn='{"g":{"eps":1}}'),
+    _lux('{"atomic":[[0,1]]}'),
+    _lux('{"density":{"support":{"box":[0,1,0]}}}'),
+    _lux('{"density":{"support":{"box":["a",1,0,1]}}}'),
+    _lux('{"atomic":[["a",1,1]]}'),
+    _lux('{"atomic":5}'),
+    _lux('{"atomic":[[0,1,true]]}'),
+    _lux('{"mobius":{"a":1,"b":0,"c":0,"d":"1"}}'),
+    _lux(fn='{"g":{"eps":"1","m":3}}'),
+    _lux(phi='{"family":"power","p":"x"}'),
+    _lux(phi='{"family":"power","p":null}'),
+    _lux(phi='{"family":"power","p":true}'),
+    _lux(phi='{"family":"power","p":2,"coef":"a"}'),
+    _lux(phi='{"family":"power_log","p":2,"a":"1","c":2}'),
+    _lux(phi='{"family":"power_transform",'
+             '"base":{"family":"power","p":2},"s":"z"}'),
+    _atoms('"gamma":"q"'),
+    _atoms('"window":5'),
+    _sample('{"delta":"x","window":[2,1]}'),
+    _sample('{"delta":0.5,"window":[2,1],"gamma":"q"}'),
+    _sample('{"delta":0.5,"window":5}'),
+    _sample('{"delta":0.5,"window":[true,1]}'),
+    _lux(fn='{"atoms":{"sequence":[[0,true,1,0]]}}'),
 ], ids=["mobius-no-d", "disk-no-s", "g-no-m", "atom-row-2", "box-3",
         "box-str", "atom-str", "atomic-int", "atom-bool", "mobius-str",
-        "g-str"])
-def test_malformed_wire_spec_exits_2(capsys, measure, fn):
-    code, out = _run(capsys, ["luxnorm", "--phi", PHI_T2,
-                              "--measure", measure, "--fn", fn])
+        "g-str", "p-str", "p-null", "p-bool", "coef-str", "a-str", "s-str",
+        "atoms-gamma-str", "atoms-window-int", "lattice-delta-str",
+        "lattice-gamma-str", "lattice-window-int", "lattice-window-bool",
+        "atoms-index-bool"])
+def test_malformed_wire_spec_exits_2(capsys, argv):
+    code, out = _run(capsys, argv)
     assert code == EXIT_VALIDATION
     assert _error_doc(out)["kind"] == "ParameterError"
 

@@ -151,7 +151,7 @@ def test_integrate_zero_valued(region):
 def test_carleson_square_is_a_boundary_box():
     sq = H.CarlesonSquare(0.5, 2.0)
     assert sq == H.Box(-0.5, 1.5, 0.0, 2.0)
-    assert H.region_to_json(sq) == {"box": [-0.5, 1.5, 0.0, 2.0]}
+    assert H.region_from_json({"box": [-0.5, 1.5, 0.0, 2.0]}) == sq
     wire = {"carleson": {"center": 0.5, "length": 2.0}}
     assert H.region_from_json(wire) == sq
     with pytest.raises(ParameterError):

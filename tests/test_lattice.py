@@ -110,12 +110,6 @@ def test_point_formula():
         lat.point(5, 0)
 
 
-def test_sampling_margin_flag():
-    assert not L.build(0.5, (1, 1)).sampling_margin_ok
-    assert L.build(0.05, (1, 1)).sampling_margin_ok
-    assert abs(L.SAMPLING_DELTA_LIMIT - 0.0917) < 1e-3
-
-
 def test_cell_lengths():
     lat = L.build(0.5, (3, 3))
     for (l, j) in [(0, 0), (2, -1), (-3, 3)]:
@@ -243,11 +237,14 @@ def test_covering_report_region_misses_zone():
 
 
 def test_covered_mask_matches_cells():
+    # the zone the sampler draws from is the union of the rows' rectangles
     lat = L.build(0.4, (6, 4))
     rng = np.random.default_rng(17)
     xs = rng.uniform(-0.3, 0.3, 400)
     ys = rng.uniform(0.85, 1.2, 400)
-    mask = lat.covered_mask(xs, ys)
+    mask = np.zeros(xs.shape, dtype=bool)
+    for x0, x1, y0, y1 in L._zone_rects(lat):
+        mask |= (x0 < xs) & (xs < x1) & (y0 < ys) & (ys < y1)
     for x, y, m in zip(xs, ys, mask):
         inside = False
         for (l, j) in lat.points:

@@ -5,6 +5,8 @@ call gives on the density of its closed pullback weight, or raise the same
 error type.
 """
 
+from dataclasses import replace
+
 import pytest
 
 from bergman_orlicz import carleson as C
@@ -56,8 +58,10 @@ def test_pullback_fields():
     assert mu.atoms == () and mu.support is None and mu.alpha_base == 0.0
     assert mu.mobius == (2.0, 1.0, 1.0, 3.0) and mu.beta == 0.3
     assert C.pullback_mobius is O.mobius_measure
-    assert O.measure_to_json(mu) == {
-        "mobius": {"a": 2.0, "b": 1.0, "c": 1.0, "d": 3.0, "beta": 0.3}}
+    parsed = O.measure_from_json(
+        {"mobius": {"a": 2.0, "b": 1.0, "c": 1.0, "d": 3.0, "beta": 0.3}})
+    assert replace(parsed, weight=None) == replace(mu, weight=None)
+    assert parsed.weight(Z) == mu.weight(Z)
 
 
 def test_divergent_pullback_transform_is_an_accuracy_error():

@@ -353,17 +353,6 @@ def test_bits_disk_polar_chart():
     assert r.value.hex() == "0x1.e9783f7691185p-2"
 
 
-def test_bits_hardy_norm_line():
-    sup, _ = O.hardy_norm(lambda z: np.abs(1.0 - 1j * z) ** -3.0,
-                          G.power_log(2, 1, 2), y_grid=[0.5])
-    # |F(x + 0.5i)| = (2.25 + x^2)^-1.5; QUADPACK on the line puts the
-    # modular at the value within 1e-8 of 1 before the bits are compared
-    assert abs(QO.line_modular(QO.power_log(2, 1, 2),
-                               lambda x: (2.25 + x * x) ** -1.5 / sup)
-               - 1.0) <= 1e-8
-    assert sup.hex() == "0x1.8998f63822e60p-2"
-
-
 def test_one_shot_integrals_keep_their_bits():
     # `integrate_1d` of a plain callable runs on an uncached field; the Dini
     # integrals of a regularity report and a disk's V_alpha mass keep the

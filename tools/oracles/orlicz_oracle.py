@@ -15,13 +15,6 @@ def main():
     u = mp.findroot(lambda u: u * u * mp.log(1 + u) - 1, mp.mpf("1.1"))
     print(f"lam = {mp.nstr(2 / u, 20)}")
 
-    print("# hardy sup of |1-iz|^-3 under t^2 on grid starting at y=1e-4")
-    # per-line norm: (B(1/2, 5/2))^{1/2} (1+y)^{-5/2}
-    b = mp.beta(mp.mpf("0.5"), mp.mpf("2.5"))
-    y = mp.mpf("1e-4")
-    print(f"hardy_sup = {mp.nstr(mp.sqrt(b) * (1 + y) ** mp.mpf('-2.5'), 20)}")
-    print(f"limit y->0 = {mp.nstr(mp.sqrt(b), 20)}")
-
 
 if __name__ == "__main__":
     main()
