@@ -230,8 +230,11 @@ class _ModularEngine:
     several tolerances.  Worst-first refinement splits a box's panels, and
     a graded chain runs its strips, in the same order at any tolerance, so
     a pass at a finer one over the same integrand evaluates only the
-    panels the coarser passes did not reach.  `norm` and `modular` are
-    `luxembourg` and `modular` on this store.
+    panels the coarser passes did not reach.  A chain, and the whole
+    plane's shells, end once their pieces decay at a steady ratio
+    (`quadrature._sum_tail`), so a pass reaches a few strips below those
+    that hold its mass.  `norm` and `modular` are `luxembourg` and
+    `modular` on this store.
     """
 
     def __init__(self, f, mu):

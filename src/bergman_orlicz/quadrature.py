@@ -31,7 +31,9 @@ Improper integrals (the real line, boundary singularities y^a with a > -1,
 the half-plane) are cut into doubling shells or strips halving toward y = 0,
 and one driver, `_sum_tail`, sums them: it detects divergence from sustained
 non-decay of the piece masses rather than from magnitude caps, which
-misclassify slowly-decaying convergent integrands.  One strip chain,
+misclassify slowly-decaying convergent integrands, and it stops as soon as
+the pieces decay at a steady ratio, adding the rest of that geometric
+series (`_geometric_rest`) rather than walking it.  One strip chain,
 `_strip_chain`, cuts the strips of a graded box and of the Dini integral
 (`growth`); a strip whose first panel already meets `_adapt`'s stop rule
 is that panel, with no `_adapt` call.
@@ -393,20 +395,49 @@ def integrate_1d(f, a, b, tol=1e-10):
     return value, err
 
 
+def _geometric_rest(last, limit, margin):
+    """The (value, abs_value, err) of the pieces after the last three
+    (value, mass) pairs in `last`, summed as a geometric series, or None.
+
+    Both mass ratios a1/a0 and a2/a1 must lie below `limit`, and the two
+    remainders a2 r / (1 - r) they give must agree within `margin`.  The
+    same holds for the value ratios q (in modulus) and remainders
+    v2 q / (1 - q), which are exact for geometric real or complex pieces
+    (Aitken's delta-squared process).  The remainders of the last ratios
+    are returned, with the larger of the two disagreements as err.
+    """
+    if len(last) < 3 or not all(a > 0 and v != 0 for v, a in last[:2]):
+        return None
+    rests = []
+    for x0, x1, x2 in zip(*last):  # the values, then the masses
+        r1, r2 = x1 / x0, x2 / x1
+        if not (abs(r1) < limit and abs(r2) < limit):
+            return None
+        t1, t2 = x2 * r1 / (1 - r1), x2 * r2 / (1 - r2)
+        if not abs(t2 - t1) <= margin:
+            return None
+        rests.append((t2, abs(t2 - t1)))
+    (value, value_err), (mass, mass_err) = rests
+    return value, mass, max(value_err, mass_err)
+
+
 def _sum_tail(pieces, tol, rule, what, base=(0.0, 0.0, 0.0)):
     """Sum (value, abs_value, err) pieces onto `base`; return the totals.
 
     Stops at the first piece whose mass (abs_value) is at most
-    tol * max(summed masses, ABS_FLOOR) / 8.  rule = (limit, run, warmup):
-    `run` successive pieces, each holding at least `limit` times the mass of
-    the one before, raise DivergenceError once past piece `warmup`.  While
-    the summed mass, base included, is 0, pieces neither stop the sum nor
-    count; EMPTY_PIECES of them make the total 0.  Running out of pieces
-    raises AccuracyError.
+    tol * max(summed masses, ABS_FLOOR) / 8, or as soon as the last three
+    pieces decay at a steady ratio: then `_geometric_rest`, within a
+    margin of tol * max(summed masses, ABS_FLOOR) / 64, adds the remainder
+    of the series and its error.  rule = (limit, run, warmup): `run`
+    successive pieces, each holding at least `limit` times the mass of the
+    one before, raise DivergenceError once past piece `warmup`; a ratio of
+    `limit` or more never stops the sum.  While the summed mass, base
+    included, is 0, pieces neither stop the sum nor count; EMPTY_PIECES of
+    them make the total 0.  Running out of pieces raises AccuracyError.
     """
     limit, run, warmup = rule
     total, total_abs, err = base
-    prev, flat, k, empty = 0.0, 0, 0, 0
+    prev, flat, k, empty, last = 0.0, 0, 0, 0, []
     for v, a, e in pieces:
         total += v
         total_abs += a
@@ -419,8 +450,13 @@ def _sum_tail(pieces, tol, rule, what, base=(0.0, 0.0, 0.0)):
         flat = flat + 1 if prev > 0 and a >= limit * prev else 0
         if flat >= run and k > warmup:
             raise DivergenceError(f"{what} does not decay (piece {k})")
-        if a <= tol * max(total_abs, ABS_FLOOR) / 8.0:
+        margin = tol * max(total_abs, ABS_FLOOR)
+        if a <= margin / 8.0:
             return total, total_abs, err
+        last = last[-2:] + [(v, a)]
+        rest = _geometric_rest(last, limit, margin / 64.0)
+        if rest is not None:
+            return total + rest[0], total_abs + rest[1], err + rest[2]
         prev = a
         k += 1
     raise AccuracyError(f"{what}: pieces exhausted without decay")
@@ -463,10 +499,10 @@ def integrate_box(field, rect, tol=1e-8):
     return _adapt(field, rect, tol)
 
 
-def _strip_chain(field, strip, top, tol, count):
-    """The (value, abs_value, err) of count strips halving toward 0 from
-    top, the strip (lo, hi) being the rect `strip(lo, hi)`: the pieces a
-    graded integral hands to `_sum_tail`.
+def _strip_chain(field, strip, top, tol):
+    """The (value, abs_value, err) of MAX_STRIPS strips halving toward 0
+    from top, the strip (lo, hi) being the rect `strip(lo, hi)`: the pieces
+    a graded integral hands to `_sum_tail`.
 
     The strips come in runs of STRIP_LOOKAHEAD, and the first panels of a
     run are evaluated in one `_panels` call before its first strip is
@@ -479,7 +515,7 @@ def _strip_chain(field, strip, top, tol, count):
     never.
     """
     hi = top
-    for _ in range(0, count, STRIP_LOOKAHEAD):
+    for _ in range(0, MAX_STRIPS, STRIP_LOOKAHEAD):
         run = []
         for _ in range(STRIP_LOOKAHEAD):
             run.append(strip(hi / 2, hi))
@@ -502,9 +538,11 @@ def integrate_box_graded(field, x0, x1, y_top, tol=1e-8):
     """Integral over (x0, x1) x (0, y_top] by strips halving toward y = 0,
     run by `_strip_chain`: most strips, which need no split, are answered
     from the chain's lookahead, and the rest go through `integrate_box`.
+    Near y = 0 an integrand ~ y^a puts 2^-(1+a) of a strip's mass in the
+    next, so `_sum_tail` sums the strips below the third such one in
+    closed form.
     """
-    strips = _strip_chain(field, lambda lo, hi: (x0, x1, lo, hi), y_top,
-                          tol, MAX_STRIPS)
+    strips = _strip_chain(field, lambda lo, hi: (x0, x1, lo, hi), y_top, tol)
     return _sum_tail(strips, tol, (0.95, 6, 12), "mass near y=0")
 
 

@@ -361,6 +361,25 @@ def test_membership_skips_stages_that_miss_the_measure(mu, stage_max, member):
     assert lux > 0.0
 
 
+# float.hex of the membership values of the y^tau unit box under t^2 / t at
+# the `membership` workload's settings (9 stages, tol 1e-4), on three of its
+# taus (seed 3, rounds 0 and 1).  Each stage box has y_min = 2^-k > 0, so
+# membership reaches the quadrature only through `integrate_box`, never
+# through a tail sum: these bits pin that path.
+MEMBERSHIP_PINS = [(-0.7914350832856376, False, "0x1.1e07e42ed9f2dp+2"),
+                   (-0.3608771809504338, True, "0x1.9a6a620614905p-1"),
+                   (-0.2413843287370412, True, "0x1.199f542cd9de5p-1")]
+
+
+@pytest.mark.parametrize("tau,member,pin", MEMBERSHIP_PINS,
+                         ids=[f"{p[0]:.4f}" for p in MEMBERSHIP_PINS])
+def test_bits_membership_workload(tau, member, pin):
+    mu = density_measure(None, support=Box(0.0, 1.0, 0.0, 1.0), alpha=tau)
+    got, lux = C.berezin_membership(mu, T2, T1, stage_max=9, tol=1e-4)
+    assert got is member
+    assert lux.hex() == pin
+
+
 @pytest.mark.parametrize("stage_max,met", [(5, 0), (6, 1)])
 def test_membership_on_fewer_than_two_stages_raises(stage_max, met):
     with pytest.raises(AccuracyError, match=f"rests on {met} of {stage_max}"):
@@ -473,12 +492,15 @@ def test_composition_dilation_verdict_ratio_half():
 
 # float.hex of the worst empirical ratio of the benchmark's pullback maps
 # (t^2, beta = alpha = 0), frozen before graded strips and split halves were
-# evaluated in batches: batching must not move a bit.
+# evaluated in batches: batching must not move a bit.  Re-pinned when
+# geometric tails were summed, after a check against the exact ratio: the
+# pullback of V_0 under z -> a z + b is V_0 / a^2, so the t^2 ratio is
+# 1 / a for every member.
 PULLBACK_FAMILY = {"kernels": 2, "atoms": 1, "window": (2, 1),
                    "im_lo": 0.1, "support_size": 2}
-PULLBACK_PINS = [("identity", (1.0, 0.0, 0.0, 1.0), "0x1.ffff40cb83588p-1"),
-                 ("2z", (2.0, 0.0, 0.0, 1.0), "0x1.ffff40cb83588p-2"),
-                 ("z+1", (1.0, 1.0, 0.0, 1.0), "0x1.ffff40cb83588p-1")]
+PULLBACK_PINS = [("identity", (1.0, 0.0, 0.0, 1.0), "0x1.000004e22bf8bp+0"),
+                 ("2z", (2.0, 0.0, 0.0, 1.0), "0x1.000004e22bf8bp-1"),
+                 ("z+1", (1.0, 1.0, 0.0, 1.0), "0x1.000004e22bf8bp+0")]
 
 
 @pytest.mark.parametrize("name,coeffs,pin", PULLBACK_PINS,
@@ -487,6 +509,7 @@ def test_bits_composition_ratio(name, coeffs, pin):
     v = C.composition_check(*coeffs, 0.0, T2, T2,
                             family_spec=dict(PULLBACK_FAMILY), seed=0,
                             tol=1e-4)
+    assert abs(v.empirical_ratio * coeffs[0] - 1.0) <= 1e-6
     assert v.empirical_ratio.hex() == pin
 
 

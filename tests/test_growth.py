@@ -10,8 +10,8 @@ import pytest
 
 from bergman_orlicz import growth as G
 from bergman_orlicz import quadrature as Q
-from bergman_orlicz.errors import (AccuracyError, DivergenceError,
-                                   OverflowBracketError, ParameterError)
+from bergman_orlicz.errors import (DivergenceError, OverflowBracketError,
+                                   ParameterError)
 
 # frozen: conjugate of t^2 log(1+t) at sample points
 CONJ_POWERLOG = {
@@ -167,10 +167,10 @@ def test_report_cubic():
     assert abs(lo - 3.0) < 1e-9 and abs(hi - 3.0) < 1e-9
 
 
-@pytest.mark.parametrize("p", [1.05, 1.1, 1.2, 2.0])
+@pytest.mark.parametrize("p", [1.02, 1.05, 1.1, 1.2, 2.0])
 def test_report_dini_constant_near_linear(p):
-    # sup_t (t / t^p) int_0^t s^(p-2) ds = 1/(p-1); p = 1.05 needs about
-    # 560 halvings toward 0, past the point where s*s underflows
+    # sup_t (t / t^p) int_0^t s^(p-2) ds = 1/(p-1); the strips halving
+    # toward 0 hold a geometric sequence, so three of them give its sum
     ok, c = G.regularity_report(G.power(p)).nabla2
     assert ok and abs(c * (p - 1) - 1) < 1e-7
 
@@ -290,7 +290,7 @@ def _dini_strip_by_strip(phi, t, tol=1e-9):
 
     def strips():
         hi = t
-        for _ in range(3000):
+        for _ in range(Q.MAX_STRIPS):
             v, e = Q.integrate_1d(lambda s: phi(s) / s / s, hi / 2, hi,
                                   tol=tol)
             yield v, abs(v), e
@@ -309,26 +309,40 @@ def test_dini_chain_keeps_the_strip_by_strip_bits(phi):
                 == _dini_strip_by_strip(phi, t).hex())
 
 
-@pytest.mark.parametrize("phi,error", [(G.power(1.02), AccuracyError),
-                                       (G.power(1.0), DivergenceError)],
-                         ids=["t^1.02", "t"])
-def test_dini_chain_keeps_its_errors(phi, error):
+@pytest.mark.parametrize("p", [1.02, 1.01, 1.0075],
+                         ids=["t^1.02", "t^1.01", "t^1.0075"])
+def test_dini_near_linear_powers_are_closed(p):
+    # int_0^1 s^(p-2) ds = 1/(p-1): the strip masses fall by 2^(1-p) each,
+    # above 0.99 here, and the geometric rest of three strips gives the sum
+    phi = G.power(p)
+    v = G._dini_integral(phi, 1.0)
+    assert abs(v * (p - 1) - 1) <= 5e-15
+    assert v.hex() == _dini_strip_by_strip(phi, 1.0).hex()
+
+
+@pytest.mark.parametrize("p", [1.007, 1.005, 1.0],
+                         ids=["t^1.007", "t^1.005", "t"])
+def test_dini_chain_keeps_its_errors(p):
+    # strip ratios 2^(1-p) of 0.995 or more (the Dini rule's limit) are
+    # divergent, and no geometric rest is taken
+    phi = G.power(p)
     messages = []
     for run in (G._dini_integral, _dini_strip_by_strip):
-        with pytest.raises(error) as e:
+        with pytest.raises(DivergenceError) as e:
             run(phi, 1.0)
         messages.append(str(e.value))
-    assert messages[0] == messages[1]
+    assert messages == [f"Dini integral of {phi.label} does not decay "
+                        "(piece 13)"] * 2
 
 
 def test_dini_chain_drops_errors_past_its_stop():
-    # t^2 / s^2 = 1 sums the strips 2^-k of (0, 1] until strip 33, (2^-33,
-    # 2^-32], in the run of strips 31-35, whose lookahead batch reaches
-    # 2^-35; below 2^-34 this Phi raises
+    # t^2 / s^2 = 1 sums the strips 2^-k of (0, 1] until strip 3, (2^-3,
+    # 2^-2], and adds their geometric rest; the lookahead batch of strips
+    # 1-5 reaches 2^-5, and below 2^-4 this Phi raises
     raised = []
 
     def fn(s):
-        if (s < 2.0 ** -34).any():
+        if (s < 2.0 ** -4).any():
             raised.append(s.size)
             raise OverflowBracketError("past the chain's stop")
         return s * s
@@ -340,8 +354,9 @@ def test_dini_chain_drops_errors_past_its_stop():
 
 
 def test_dini_chain_raises_errors_it_reaches():
+    # the chain reaches strip 3, (2^-3, 2^-2]
     def fn(s):
-        if (s < 2.0 ** -20).any():
+        if (s < 2.0 ** -2).any():
             raise OverflowBracketError("within the chain's reach")
         return s * s
 
