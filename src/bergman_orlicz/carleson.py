@@ -2,40 +2,32 @@
 
 The module measures how a positive measure on the half-plane interacts
 with the weighted Bergman–Orlicz scale: disk averages, the kernel-power
-transform (Berezin transform), a membership test for the transform in
-the derived Orlicz class, and an empirical embedding checker that drives
-a family of normalized kernels toward the boundary.  Composition
-operators reduce to the same machinery through an explicit Möbius
-pullback density.
+transform (Berezin transform), a membership test of the measure's
+averages over dyadic cells in the derived Orlicz class, and an empirical
+embedding checker that drives a family of normalized kernels toward the
+boundary.  Composition operators reduce to the same machinery through an
+explicit Möbius pullback density.
+
+The measure of a region's cells and disks comes from `halfplane`, the one
+module that knows the region kinds; this module adds atoms and the scale of
+a triangular pullback.
 """
 
-import logging
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import bergman, growth, lattice
 from .errors import AccuracyError, DivergenceError, ParameterError
-from .halfplane import (Box, Disk, HPoint, integrate, integrate_disk,
-                        plane_power_integral)
-from .orlicz import (_ModularEngine, _random_sequence, luxembourg,
-                     mobius_measure, modular, valpha_measure)
+from .halfplane import (Box, Disk, HPoint, disk_meet, integrate,
+                        integrate_disk, plane_power_integral, row_cells)
+from .orlicz import (_ModularEngine, _discrete_modular, _random_sequence,
+                     _solve, luxembourg, mobius_measure, modular,
+                     valpha_measure)
+from .quadrature import MAX_STRIPS, _sum_tail
 
-log = logging.getLogger(__name__)
-
+# the reach K of the membership window B_K
 MEMBERSHIP_STAGE_MAX = 7
-MEMBERSHIP_STABLE_REL = 0.01
-MEMBERSHIP_TAIL_CAP = 1.0 / 3.0
-# y-rule of the box transform (see berezin_fn): 16-node Gauss panels
-# [a, 4a], and on a boundary box 20 of them above a Gauss-Jacobi sliver
-GAUSS_ORDER_Y = 16
-PANEL_RATIO = 4.0
-BOUNDARY_PANELS = 20
-# points per block of the box transform, so that its (points x y-nodes)
-# temporaries stay in cache: on Box(0, 1, 0, 1) with tau = -0.5 (336
-# y-nodes), 2,560 points took 16-18 ms in blocks of 32 or 64, 21 ms in
-# blocks of 16 or 128 and 31 ms in one block (best of 7, 2-core machine)
-BEREZIN_BLOCK = 64
 
 FAMILY_DEFAULTS = {"kernels": 30, "atoms": 20, "im_lo": 1e-3, "im_hi": 1.0,
                    "delta": 0.5, "window": (4, 2), "support_size": 5}
@@ -51,21 +43,20 @@ def _as_hpoint(z):
 # ------------------------------------------------------------- averaging
 
 def _measure_of_disk(mu, disk, tol):
-    """Mass mu(D): a sum of the atoms in D, or the density's integral."""
+    """Mass mu(D): a sum of the atoms in D, the V_tau volume of the disk's
+    meet with the support (`halfplane.disk_meet`) for a y**tau density, or
+    the polar integral of a custom weight."""
     if mu.atoms:
         pts = np.array([p.z for p, _ in mu.atoms])
         ms = np.array([m for _, m in mu.atoms])
         return float(ms[disk.contains(pts)].sum())
-    support = mu.support
-    weight = mu.weight
+    if mu.weight is None:
+        return disk_meet(disk, mu.support, mu.alpha_base, tol)
+    support, weight = mu.support, mu.weight
 
     def f(z):
-        out = np.ones_like(np.real(z))
-        if weight is not None:
-            out = out * weight(z)
-        if support is not None:
-            out = out * support.contains(z)
-        return out
+        out = np.ones_like(np.real(z)) * weight(z)
+        return out if support is None else out * support.contains(z)
 
     return integrate_disk(f, mu.alpha_base, disk, tol=tol)
 
@@ -101,98 +92,14 @@ def berezin(mu, z, alpha=0.0, tol=1e-8):
         raise AccuracyError(f"transform integral diverges: {e}") from e
 
 
-def _y_rule(y0, y1, tau):
-    """Nodes and weights of a rule for int_{y0}^{y1} g(y) y**tau dy.
-
-    Gauss panels [a, 4a] grade from y1 down to y0.  On a boundary box
-    (y0 = 0) they stop at the floor y1 * 4**-BOUNDARY_PANELS, and a
-    Gauss-Jacobi rule for the weight y**tau integrates the sliver below it.
-    Returns (nodes, weights), the weights holding the factor y**tau.
-    """
-    xg, wg = np.polynomial.legendre.leggauss(GAUSS_ORDER_Y)
-    if y0 > 0:
-        lo = y0
-    elif tau <= -1:
-        raise DivergenceError(
-            f"density y**{tau} is not integrable at the boundary")
-    else:
-        lo = y1 * PANEL_RATIO ** -BOUNDARY_PANELS
-    edges = [y1]
-    while edges[-1] > lo * (1 + 1e-12):
-        edges.append(max(lo, edges[-1] / PANEL_RATIO))
-    edges = np.array(edges[::-1])
-    a, b = edges[:-1], edges[1:]
-    mid, half = (a + b) / 2.0, (b - a) / 2.0
-    nodes = (mid[:, None] + half[:, None] * xg[None, :]).ravel()
-    weights = (half[:, None] * wg[None, :]).ravel() * nodes ** tau
-    if y0 > 0:
-        return nodes, weights
-    from scipy.special import roots_jacobi
-    xj, wj = roots_jacobi(GAUSS_ORDER_Y, 0.0, tau)
-    return (np.concatenate([lo / 2.0 * (1.0 + xj), nodes]),
-            np.concatenate([wj * (lo / 2.0) ** (1.0 + tau), weights]))
-
-
-def _int_inv_power(u0, u1, c, m):
-    """Integral of 1/(u^2 + c^2)^m over [u0, u1] for real m > 1/2.
-
-    For m = 2 the difference of the two antiderivatives is fused into one
-    rational term and one arctan2, which keeps its accuracy off the
-    interval, where the antiderivatives nearly cancel.  The arrays are
-    (points x nodes), so the terms accumulate in place.
-
-    Any other m goes through the integral from 0 to |u| (the head) or from
-    |u| to infinity (the tail), each a regularized incomplete beta
-    function times c**(1-2m) B(m-1/2, 1/2) / 2 and accurate to its last
-    bits: an interval across 0 is the sum of two heads, and one on either
-    side of 0 is the difference of two tails when its near end is past c,
-    of two heads otherwise, so the two terms cancel no more than the
-    interval's length against its distance from 0 makes them.
-    """
-    if m == 2.0:
-        du, p, c2 = u1 - u0, u0 * u1, c * c
-        out = (c2 - p) * du
-        out /= (u0 * u0 + c2) * (u1 * u1 + c2)
-        out += np.arctan2(c * du, c2 + p) / c
-        out /= 2.0 * c2
-        return out
-    from scipy.special import beta, betainc
-    near = np.minimum(np.abs(u0), np.abs(u1))
-    far = np.maximum(np.abs(u0), np.abs(u1))
-    across = (u0 < 0.0) & (u1 > 0.0)
-    tails = (near >= c) & ~across
-    a, b = np.where(tails, m - 0.5, 0.5), np.where(tails, 0.5, m - 0.5)
-    c2 = c * c
-
-    def part(u):  # the tail or head from |u|, over its scale
-        u2 = u * u
-        return betainc(a, b, np.where(tails, c2, u2) / (u2 + c2))
-
-    at_near, at_far = part(near), part(far)
-    out = np.where(tails, at_near - at_far,
-                   np.where(across, at_far + at_near, at_far - at_near))
-    return out * (0.5 * beta(m - 0.5, 0.5)) * c ** (1.0 - 2.0 * m)
-
-
-def berezin_fn(mu, alpha=0.0, tol=1e-6):
+def berezin_fn(mu, alpha=0.0, tol=1e-8):
     """Vectorized z -> transform(mu)(z).
 
-    Atomic measures evaluate as exact finite sums.  Pure-weight
-    densities y**tau on a box reduce the inner x-integral to closed form,
-    leaving a 1-D rule in y: 16-node Gauss panels [a, 4a] from y_max
-    down to y_min.  On a panel [a, 4a] the integrand's nearest
-    singularity is y**tau's branch point at 0 (the x-integral's lie at
-    y = -Im z +- iu, farther off), on the Bernstein ellipse rho = 3, so
-    the Gauss error bound O(rho**-32) (Trefethen, SIAM Rev. 50, 2008)
-    holds each panel to about 5e-16 relative.  On a boundary box
-    (y_min = 0) the panels stop at the floor y_max * 4**-20, and a
-    16-node Gauss-Jacobi rule for the weight y**tau integrates the sliver
-    below it; the x-integral's singularity at -Im z sets that rule's
-    ellipse, so the sliver is as exact while Im z stays above a third of
-    the floor and degrades below it.  On the whole plane the transform is
-    closed: for y**tau, and for the pullback of y**beta under a triangular
-    map, whose density is (d/a)**(beta+2) * y**beta.  Anything else falls
-    back to one adaptive integral per point, which is honest but slow.
+    Atomic measures evaluate as exact finite sums.  On the whole plane the
+    transform is closed: for y**tau, and for the pullback of y**beta under
+    a triangular map, whose density is (d/a)**(beta+2) * y**beta.
+    Anything else, a box density included, is `berezin` at `tol` per point:
+    honest but slow, and its typed errors come when a point is evaluated.
     """
     m = 2.0 + alpha
     if mu.atoms:
@@ -225,23 +132,6 @@ def berezin_fn(mu, alpha=0.0, tol=1e-6):
             return c0 * y ** (tau - alpha) * np.ones_like(y)
         return fn
 
-    if mu.weight is None and isinstance(mu.support, Box):
-        tau, box = mu.alpha_base, mu.support
-        ynod, gvals = _y_rule(box.y_min, box.y_max, tau)
-
-        def fn(z):
-            zz = np.asarray(z, dtype=complex)
-            flat = np.atleast_1d(zz).ravel()
-            out = np.empty(flat.shape)
-            for i in range(0, flat.size, BEREZIN_BLOCK):
-                part = flat[i:i + BEREZIN_BLOCK]
-                xz, yz = np.real(part)[:, None], np.imag(part)[:, None]
-                c = ynod[None, :] + yz
-                inner = _int_inv_power(box.x_min - xz, box.x_max - xz, c, m)
-                out[i:i + BEREZIN_BLOCK] = (inner @ gvals) * np.imag(part) ** m
-            return out.reshape(zz.shape) if zz.shape else float(out[0])
-        return fn
-
     def fn(z):
         zz = np.asarray(z, dtype=complex)
         flat = np.atleast_1d(zz).ravel()
@@ -257,84 +147,111 @@ def phi3_of(phi1, phi2):
     return growth.conjugate_of(growth.composed_inverse(phi1, phi2))
 
 
-def _restrict(mu, box):
-    """Measure restricted to a box; None encodes the zero measure.  A
-    pullback, or a density on a Disk or StripUnion, stays whole: the
-    transform of a global measure decays."""
+def _cells(mu, tol):
+    """The anchor b, the bbox (None on the whole plane) and the map
+    (k, lo, hi) -> (counts, masses) of mu on the cells m in [lo, hi) of row
+    k: atoms summed per cell, a y**tau density's `halfplane.row_cells`, or
+    a triangular pullback's whole-plane y**beta rows times (d/a)**(beta+2).
+    """
     if mu.atoms:
-        kept = tuple((p, m) for p, m in mu.atoms if box.contains(p.z))
-        return replace(mu, atoms=kept) if kept else None
-    if mu.mobius:
-        return mu
-    if mu.support is None:
-        return replace(mu, support=box)
-    if isinstance(mu.support, Box):
-        s = mu.support
-        x0, x1 = max(s.x_min, box.x_min), min(s.x_max, box.x_max)
-        y0, y1 = max(s.y_min, box.y_min), min(s.y_max, box.y_max)
-        if x0 >= x1 or y0 >= y1:
-            return None
-        return replace(mu, support=Box(x0, x1, y0, y1))
-    return mu
+        pts = np.array([p.z for p, _ in mu.atoms])
+        ms = np.array([m for _, m in mu.atoms])
+        b = float(np.sum(ms * pts.real) / np.sum(ms))
+        ks = -np.frexp(pts.imag)[1]  # y in [2^-k-1, 2^-k)
+        cols = np.floor((pts.real - b) * 2.0 ** ks)
+
+        def row(k, lo, hi):
+            sel = (ks == k) & (cols >= lo) & (cols < hi)
+            _, cell = np.unique(cols[sel], return_inverse=True)
+            sums = np.bincount(cell, weights=ms[sel])
+            return np.ones(len(sums)), sums
+        bbox = (pts.real.min(), pts.real.max(), pts.imag.min(), pts.imag.max())
+        return b, bbox, row
+    if mu.mobius and mu.mobius[2] == 0.0:
+        a, _, _, d = mu.mobius
+        region, tau, scale = None, mu.beta, (d / a) ** (mu.beta + 2.0)
+    elif mu.weight is None:
+        region, tau, scale = mu.support, mu.alpha_base, 1.0
+    else:
+        raise ParameterError(
+            "membership needs atoms, a y**tau density on a region or a "
+            "triangular pullback (c = 0); got "
+            + ("a pullback with c != 0" if mu.mobius else "a custom weight"))
+    bbox = None if region is None else region.bbox
+    b = 0.0 if bbox is None else 0.5 * (bbox[0] + bbox[1])
+
+    def row(k, lo, hi):
+        counts, masses = row_cells(region, tau, b, k, lo, hi, tol)
+        return counts, scale * masses
+    return b, bbox, row
+
+
+def _averages(row, alpha, rows):
+    """Averages mu(Q) / V_alpha(Q) and weights V_alpha(Q) of rows' groups."""
+    avgs, weights = [np.zeros(0)], [np.zeros(0)]
+    for k, lo, hi in rows:
+        counts, masses = row(k, lo, hi)
+        if len(masses):  # most rows of a ring miss a compact measure
+            vol = Box(0.0, 2.0 ** -k, 2.0 ** (-k - 1), 2.0 ** -k).mass(alpha)
+            avgs.append(masses / vol)
+            weights.append(counts * vol)
+    return np.concatenate(avgs), np.concatenate(weights)
+
+
+def _ring(n, inner):
+    """(k, lo, hi) of the rows of B_n minus B_inner, where B_n holds the
+    rows -n <= k < n with |x - b| < 2^n (B_0 is empty)."""
+    rows = []
+    for k in range(-n, n):
+        out, cut = 2 ** (n + k), 2 ** (inner + k) if -inner <= k < inner else 0
+        rows += [(k, -out, -cut), (k, cut, out)]
+    return rows
 
 
 def berezin_membership(mu, phi1, phi2, alpha=0.0, stage_max=None, tol=1e-6):
-    """Whether the transform of mu lies in the derived Orlicz class.
+    """Whether the averages of mu over dyadic cells lie in the derived
+    Orlicz class (result (E); Luecking, Michigan Math. J. 40, 1993).
 
-    Computes the Luxembourg value of the transform against the
-    alpha-weight over a doubling sequence of boxes; membership means the
-    values stabilize.  Stabilization is certified either outright
-    (relative change at most 1% on a doubling) or by geometric tail
-    extrapolation: when the relative increments decay at a ratio rho < 1,
-    the remaining growth is at most ``rel * rho / (1 - rho)`` of the
-    current value, and the sequence is accepted once that projected tail
-    is below ``MEMBERSHIP_TAIL_CAP``.  Divergent transforms keep their
-    increments near-constant (or growing), so the projection stays large.
-    A stage whose box misses the measure is skipped: it gives no evidence,
-    and a verdict resting on fewer than two stages that meet the measure
-    raises AccuracyError.
+    Row k is the band [2^-k-1, 2^-k), cut into the cells [b + m 2^-k,
+    b + (m+1) 2^-k) with b the anchor of `_cells`, so a translation carries
+    the grid with the measure.  The averages mu(Q) / V_alpha(Q), weighted by
+    V_alpha(Q), form one sequence, and its Luxembourg norm over the window
+    B_K (`_ring`) is the value, solved as `orlicz.seq_luxembourg` solves
+    one.  K is `stage_max` (default MEMBERSHIP_STAGE_MAX), raised until B_K
+    holds the support's bbox, or its top half on the boundary.  The
+    modulars of the rings B_n minus B_(n-1), n > K, at that value go to
+    `quadrature._sum_tail`: its divergence rule is the verdict.
 
     Returns
     -------
     (member: bool, lux_value: float)
     """
     phi3 = phi3_of(phi1, phi2)
-    stage_max = MEMBERSHIP_STAGE_MAX if stage_max is None else stage_max
-    prev = None
-    val = 0.0
-    rels = []
-    for k in range(1, stage_max + 1):
-        reach = 2.0 ** k
-        box = Box(-reach, reach, 1.0 / reach, reach)
-        mu_k = _restrict(mu, box)
-        if mu_k is None:  # a stage the measure misses gives no evidence
-            continue
-        fn = berezin_fn(mu_k, alpha)
-        val = luxembourg(fn, valpha_measure(alpha, support=box),
-                         phi3, tol=tol).value
-        if prev is not None:
-            rel = abs(val - prev) / max(val, 1e-300)
-            if rel <= MEMBERSHIP_STABLE_REL:
-                return True, val
-            rels.append(rel)
-        prev = val
-    if not rels:
-        met = 0 if prev is None else 1
-        raise AccuracyError(
-            f"membership rests on {met} of {stage_max} stages; it needs two "
-            f"whose box meets the measure")
-    if len(rels) >= 2 and rels[-2] > 0:
-        rho = rels[-1] / rels[-2]
-        if rho < 1.0:
-            tail = rels[-1] * rho / (1.0 - rho)
-            if tail <= MEMBERSHIP_TAIL_CAP:
-                return True, val
-            log.info("projected tail %.3g above cap; treating as divergent",
-                     tail)
-    rate = val / prev if prev else float("inf")
-    log.info("transform norm not stabilizing: last doubling grew by %.3g", rate)
-    return False, val
+    b, bbox, row = _cells(mu, tol)
+    reach = MEMBERSHIP_STAGE_MAX if stage_max is None else stage_max
+    if bbox is not None:
+        x0, x1, y0, y1 = bbox
+        bottom = y0 if y0 > 0 else y1 / 2
+        while not (2.0 ** -reach <= bottom and y1 < 2.0 ** reach
+                   and -2.0 ** reach <= x0 - b and x1 - b < 2.0 ** reach):
+            reach += 1
+    avgs, weights = _averages(row, alpha, _ring(reach, 0))
+    value = _solve(
+        lambda psi, lam: _discrete_modular(avgs, weights, psi, lam), phi3,
+        lambda: max(float(np.max(avgs)), 1e-30)).value
 
+    rings = (_discrete_modular(*_averages(row, alpha, _ring(n, n - 1)),
+                               phi3, value)
+             for n in range(reach + 1, reach + 1 + MAX_STRIPS))
+    base = _discrete_modular(avgs, weights, phi3, value)
+    try:
+        # the Dini integral's rule: the rows of a y**tau box are exactly
+        # geometric, so any ratio below 0.995 sums in closed form
+        _sum_tail(((m, m, 0.0) for m in rings), tol, (0.995, 8, 12),
+                  "cell modulars past the window", (base, base, 0.0))
+    except DivergenceError:
+        return False, value
+    return True, value
 
 # --------------------------------------------------------------- verdicts
 
@@ -344,8 +261,10 @@ class EmbeddingVerdict:
 
     condition18 holds the admissibility check on the growth pair with
     its constant, inf where the check's Dini integral diverges;
-    berezin_in_phi3 is the decidable membership side,
-    (member, lux_value), or (None, None) when condition (18) fails;
+    berezin_in_phi3 is the decidable membership side, the
+    (member, lux_value) of `berezin_membership`: whether the averages of
+    mu over dyadic cells lie in L^phi3, and their norm over its window, or
+    (None, None) when condition (18) fails;
     empirical_ratio is the worst norm ratio over the test family; and
     boundary_growth compares worst ratios between the outermost and
     innermost Im(w) decades of the kernel family (stable embeddings

@@ -8,7 +8,9 @@ This module is the only one that knows the region kinds: a Box (a Carleson
 square I x (0, |I|] is the boundary Box `CarlesonSquare` returns), a Disk, a
 StripUnion of boxes, or None for the whole half-plane.  Each region answers
 `contains`, `bbox` and its V_alpha `mass`; `_integrate_region` integrates a
-field over any of them, a disk on one polar chart.
+field over any of them, a disk on one polar chart.  `row_cells` and
+`disk_meet` give V_tau of a region's meet with a row of dyadic cells and
+with a disk, in closed form for boxes and along chords for disks.
 """
 
 import math
@@ -138,8 +140,8 @@ class StripUnion:
 
 # Region = Box | Disk | StripUnion | None (whole half-plane); a Carleson
 # square is a Box with y_min = 0.  Each answers contains(z), bbox and
-# mass(alpha), and `_integrate_region` is the one place that branches on
-# the kind.
+# mass(alpha); `_integrate_region`, `row_cells` and `disk_meet` are the
+# places that branch on the kind.
 
 
 def beta(m, n):
@@ -317,6 +319,80 @@ def disk_measure(disk, alpha, tol=1e-12):
 
     value, _ = integrate_1d(fn, -0.5 * math.pi, 0.5 * math.pi, tol=tol)
     return 2 * r * r * value
+
+
+def _band(y0, y1, tau):
+    """int_{y0}^{y1} y^tau dy for 0 < y0 (a log at tau = -1); 0 if y1 <= y0."""
+    if not y1 > y0:
+        return 0.0
+    s, log_ratio = 1.0 + tau, math.log(y1 / y0)
+    return log_ratio if s == 0 else y1 ** s * -math.expm1(-s * log_ratio) / s
+
+
+def disk_meet(disk, region, tau, tol=1e-10):
+    """V_tau(disk ∩ region): `disk_measure` on the whole plane, a sum over a
+    StripUnion's boxes, and for a Box or a Disk one `integrate_1d` over the
+    chords y = c_y + r sin t of the disk, of y^tau times the chord's overlap
+    with the region times dy/dt = r cos t, the chord's half-length."""
+    if region is None:
+        return disk_measure(disk, tau)
+    if isinstance(region, StripUnion):
+        return sum(disk_meet(disk, box, tau, tol) for box in region.boxes)
+    c, r = disk.center, disk.radius
+    s0, s1 = (min(max((v - c.y) / r, -1.0), 1.0) for v in region.bbox[2:])
+    if not s1 > s0:
+        return 0.0
+
+    def fn(t):
+        y, half = c.y + r * np.sin(t), r * np.cos(t)
+        lo, hi = region.bbox[:2]  # the heights are the box's
+        if isinstance(region, Disk):
+            o = region.center
+            w = np.sqrt(np.maximum(region.radius ** 2 - (y - o.y) ** 2, 0.0))
+            lo, hi = o.x - w, o.x + w
+        width = np.minimum(hi, c.x + half) - np.maximum(lo, c.x - half)
+        return y ** tau * np.maximum(width, 0.0) * half
+
+    return integrate_1d(fn, math.asin(s0), math.asin(s1), tol=tol)[0]
+
+
+def row_cells(region, tau, b, k, lo, hi, tol=1e-10):
+    """V_tau(region ∩ Q) over the cells Q = [b + m h, b + (m+1) h) x [h/2, h),
+    h = 2^-k, m in [lo, hi), as (counts, masses): groups of cells that share
+    a mass, leaving out the cells the region misses.  A box puts its x-overlap
+    times `_band` in a cell, so the whole cells between two consecutive box
+    edges share a mass, and a row costs O(edges).  A Disk goes through
+    `disk_meet` for each cell it meets."""
+    h = 2.0 ** -k
+    x0, x1, y0, y1 = ((-math.inf, math.inf, 0.0, math.inf) if region is None
+                      else region.bbox)
+    if not (y0 < h and y1 > h / 2 and x0 - b < hi * h and x1 - b > lo * h):
+        return np.zeros(0), np.zeros(0)
+    if isinstance(region, Disk):
+        disk = Disk(HPoint(region.center.x - b, region.center.y), region.s)
+        masses = np.array([
+            disk_meet(disk, Box(m * h, (m + 1) * h, h / 2, h), tau, tol)
+            for m in range(max(lo, math.floor((x0 - b) / h)),
+                           min(hi, math.floor((x1 - b) / h) + 1))])
+        masses = masses[masses > 0]
+        return np.ones(len(masses)), masses
+    boxes = ([box.bbox for box in region.boxes]
+             if isinstance(region, StripUnion) else [(x0, x1, y0, y1)])
+    parts = [(x0 - b, x1 - b, _band(max(y0, h / 2), min(y1, h), tau))
+             for x0, x1, y0, y1 in boxes]
+    parts = [p for p in parts if p[2] > 0 and p[0] < hi * h and p[1] > lo * h]
+    marks = sorted({lo, hi} | {m + d for u0, u1, _ in parts for u in (u0, u1)
+                               if math.isfinite(u)
+                               and lo <= (m := math.floor(u / h)) < hi
+                               for d in (0, 1)})
+    counts, masses = [], []
+    for m0, m1 in zip(marks, marks[1:]):
+        mass = sum(w * (min(u1, m1 * h) - max(u0, m0 * h))
+                   for u0, u1, w in parts if u0 < m1 * h and u1 > m0 * h)
+        if mass > 0:
+            counts.append(float(m1 - m0))
+            masses.append(mass / (m1 - m0))
+    return np.array(counts), np.array(masses)
 
 
 def region_from_json(obj):

@@ -36,7 +36,9 @@ the pieces decay at a steady ratio, adding the rest of that geometric
 series (`_geometric_rest`) rather than walking it.  One strip chain,
 `_strip_chain`, cuts the strips of a graded box and of the Dini integral
 (`growth`); a strip whose first panel already meets `_adapt`'s stop rule
-is that panel, with no `_adapt` call.
+is that panel, with no `_adapt` call.  The same driver sums the modulars
+of the dyadic-cell rings past `carleson.berezin_membership`'s window, and
+its divergence rule is that membership verdict.
 """
 
 import cmath

@@ -8,7 +8,6 @@ import json
 import math
 import weakref
 
-import mpmath
 import numpy as np
 import pytest
 
@@ -18,10 +17,9 @@ from bergman_orlicz import growth as G
 from bergman_orlicz import lattice as L
 from bergman_orlicz import orlicz as O
 from bergman_orlicz import quadrature as Q
-from bergman_orlicz.errors import (AccuracyError, DivergenceError,
-                                   ParameterError)
-from bergman_orlicz.halfplane import (Box, CarlesonSquare, HPoint, StripUnion,
-                                      integrate)
+from bergman_orlicz.errors import ParameterError
+from bergman_orlicz.halfplane import (Box, CarlesonSquare, Disk, HPoint,
+                                      StripUnion, integrate)
 from bergman_orlicz.orlicz import (
     LatticeSequence,
     atomic_measure,
@@ -32,14 +30,12 @@ from bergman_orlicz.orlicz import (
     valpha_measure,
 )
 
+import quad_oracles as QO
+
 T1 = G.power(1)
 T2 = G.power(2)
 SMALL_FAMILY = {"kernels": 6, "atoms": 3}
 
-# Luxembourg norm of the Berezin transform of a unit mass at i, taken in
-# the conjugate of t |-> t**2 o t**-1 over the full plane (bisection against
-# the exact point-mass transform; the stagewise value stabilizes within 1%).
-DIRAC_MEMBER_LUX = 0.0904501568
 
 
 # Im(z)^2 int_{y0}^1 y^tau int_0^1 |x + iy - conj(z)|^-4 dx dy, as
@@ -141,6 +137,18 @@ def test_average_over_square_and_strip_supports(support):
     assert C.average(mu, HPoint(1.5, 0.5), 0.3) == 0.0
     # the edge x = 1 halves a disk centred on it
     assert abs(C.average(mu, HPoint(1.0, 0.5), 0.3) - 0.5) < 1e-8
+
+
+def test_average_of_a_disk_support_is_the_lens():
+    # V_0 of the meet of D(i, 1/2) with D(0.3 + 0.7i, 0.21): the lens of two
+    # circles, r1^2 acos(.) + r2^2 acos(.) - sqrt(.) / 2, from mpmath at 30
+    # digits; the polar integral of the support's indicator raised
+    # AccuracyError after 6,000 panels
+    lens = 0.0946895681285372035
+    mu = valpha_measure(0.0, Disk(HPoint(0.0, 1.0), 0.5))
+    for tol in (1e-8, 1e-12):
+        avg = C.average(mu, HPoint(0.3, 0.7), 0.3, tol=tol)
+        assert abs(avg * math.pi * 0.21 ** 2 - lens) < tol * lens
 
 
 def test_berezin_fn_carleson_square_is_the_box():
@@ -252,23 +260,6 @@ def test_berezin_fn_box_with_weight_matches_mpmath():
     assert np.max(np.abs(got - ref) / ref) < 1e-9
 
 
-@pytest.mark.parametrize("u0, u1, c, m", [
-    (-100.0, -99.0, 0.02, 2.5),     # two tails
-    (-1000.0, -999.0, 0.6, 2.5),
-    (5.0, 7.0, 1e-4, 3.7),
-    (0.001, 0.002, 1.0, 2.5),       # two heads
-    (-1.5, -0.5, 1000.0, 2.5),
-    (-0.5, 0.5, 10.0, 2.5),         # across 0
-    (-1.0, 0.0, 0.1, 0.75),
-])
-def test_int_inv_power_matches_mpmath(u0, u1, c, m):
-    with mpmath.workdps(30):
-        f = lambda u: (u * u + mpmath.mpf(c) ** 2) ** -mpmath.mpf(m)
-        ref = float(mpmath.quad(f, sorted({u0, min(max(0.0, u0), u1), u1})))
-    got = C._int_inv_power(np.array([u0]), np.array([u1]), np.array([c]), m)
-    assert abs(got[0] - ref) < 1e-12 * ref
-
-
 def test_berezin_fn_box_blocks_are_bit_stable():
     # the points go through the closed form in fixed blocks, so a batch of
     # eight 320-point panels gives the bits of the panels one at a time
@@ -280,8 +271,9 @@ def test_berezin_fn_box_blocks_are_bit_stable():
 
 
 def test_berezin_fn_boundary_box_needs_integrable_weight():
-    with pytest.raises(DivergenceError):
-        C.berezin_fn(density_measure(None, Box(0.0, 1.0, 0.0, 1.0), -1.0))
+    fn = C.berezin_fn(density_measure(None, Box(0.0, 1.0, 0.0, 1.0), -1.0))
+    with pytest.raises(ParameterError, match="must exceed -1"):
+        fn(0.5 + 0.5j)
 
 
 def test_berezin_fn_dilation_pullback_constant():
@@ -311,17 +303,21 @@ def test_berezin_fn_atomic_matches_pointwise():
 
 
 def test_membership_point_mass():
+    # the cell of i is [0, 2) x [1, 2), with V_0 = 2, so its average is 1/2;
+    # under Phi3 = t^2 / 4 its modular 2 (1/2 / lam)^2 / 4 is 1 at
+    # lam = 1/sqrt(8), and no other cell holds mass
     member, lux = C.berezin_membership(dirac_at(1j), T2, T1)
     assert member
-    assert abs(lux - DIRAC_MEMBER_LUX) < 0.01 * DIRAC_MEMBER_LUX
+    assert abs(lux - 1.0 / math.sqrt(8.0)) <= 1e-15
+    assert lux.hex() == "0x1.6a09e667f3bcdp-2"
 
 
 def test_membership_zero_measure():
+    # a custom weight has no cell masses in closed form
     zero = density_measure(lambda z: np.zeros(np.shape(z)),
                            support=Box(0.0, 1.0, 0.0, 1.0))
-    member, lux = C.berezin_membership(zero, T2, T1)
-    assert member
-    assert lux == 0.0
+    with pytest.raises(ParameterError, match="custom weight"):
+        C.berezin_membership(zero, T2, T1)
 
 
 def test_membership_inverse_height_density_fails():
@@ -338,18 +334,17 @@ def test_membership_stage_cap():
     assert lux > 0.0
 
 
-# a stage whose box misses the measure gives no evidence; each of these once
-# returned (True, 0.0) from two empty stages in a row
+# measures that a window around the origin would miss; each of these once
+# returned (True, 0.0).  The cell window is anchored at the measure and
+# holds its bbox, or the top half of a boundary bbox.
 FAR_BOX = density_measure(None, support=Box(50.0, 51.0, 0.0, 1.0), alpha=-0.7)
 
 
 @pytest.mark.parametrize("mu,stage_max,member", [
-    # stages 1-3 miss an atom at height 0.1
     (atomic_measure([(HPoint(0.1, 0.1), 1.0)]), None, True),
-    # stages 1-5 miss a box at x = 50; 6 and 7 meet it
     (FAR_BOX, None, False),
-    # stages 1 and 2 miss a box below y = 1/4; the unit box's verdicts at
-    # 13 stages are the same: a member at tau -0.3, none at -0.7
+    # a box below y = 1/4 has the unit box's verdicts: a member at tau
+    # -0.3, none at -0.7
     (density_measure(None, support=Box(0.0, 0.25, 0.0, 0.25), alpha=-0.3),
      13, True),
     (density_measure(None, support=Box(0.0, 0.25, 0.0, 0.25), alpha=-0.7),
@@ -362,28 +357,35 @@ def test_membership_skips_stages_that_miss_the_measure(mu, stage_max, member):
 
 
 # float.hex of the membership values of the y^tau unit box under t^2 / t at
-# the `membership` workload's settings (9 stages, tol 1e-4), on three of its
-# taus (seed 3, rounds 0 and 1).  Each stage box has y_min = 2^-k > 0, so
-# membership reaches the quadrature only through `integrate_box`, never
-# through a tail sum: these bits pin that path.
-MEMBERSHIP_PINS = [(-0.7914350832856376, False, "0x1.1e07e42ed9f2dp+2"),
-                   (-0.3608771809504338, True, "0x1.9a6a620614905p-1"),
-                   (-0.2413843287370412, True, "0x1.199f542cd9de5p-1")]
+# the `membership` workload's settings (window reach 9, tol 1e-4), on three
+# of its taus (seed 3, rounds 0 and 1).  The cell masses are closed, so
+# these bits pin the row sums and the Luxembourg solve, after a QUADPACK
+# sum over the window's cells (`quad_oracles.cell_lux_t2`) checks them.
+MEMBERSHIP_PINS = [(-0.7914350832856376, False, "0x1.f581a0b5c2fa1p+1"),
+                   (-0.3608771809504338, True, "0x1.9f4af33067323p-1"),
+                   (-0.2413843287370412, True, "0x1.3fed50269a995p-1")]
 
 
 @pytest.mark.parametrize("tau,member,pin", MEMBERSHIP_PINS,
                          ids=[f"{p[0]:.4f}" for p in MEMBERSHIP_PINS])
 def test_bits_membership_workload(tau, member, pin):
-    mu = density_measure(None, support=Box(0.0, 1.0, 0.0, 1.0), alpha=tau)
+    box = Box(0.0, 1.0, 0.0, 1.0)
+    mu = density_measure(None, support=box, alpha=tau)
     got, lux = C.berezin_membership(mu, T2, T1, stage_max=9, tol=1e-4)
+    ref = QO.cell_lux_t2(lambda y: (0.0, 1.0), lambda u0, u1: (), tau, 0.0,
+                      0.5, 9, box.bbox)
+    assert abs(lux - ref) <= 1e-12 * ref
     assert got is member
     assert lux.hex() == pin
 
 
-@pytest.mark.parametrize("stage_max,met", [(5, 0), (6, 1)])
-def test_membership_on_fewer_than_two_stages_raises(stage_max, met):
-    with pytest.raises(AccuracyError, match=f"rests on {met} of {stage_max}"):
-        C.berezin_membership(FAR_BOX, T2, T1, stage_max=stage_max)
+@pytest.mark.parametrize("stage_max", [5, 6])
+def test_membership_far_box_reads_as_the_unit_box(stage_max):
+    # the cell grid is anchored at the support, so a box at x = 50 reads
+    # as the unit box
+    unit = density_measure(None, support=Box(0.0, 1.0, 0.0, 1.0), alpha=-0.7)
+    assert C.berezin_membership(FAR_BOX, T2, T1, stage_max=stage_max) == \
+        C.berezin_membership(unit, T2, T1, stage_max=stage_max)
 
 
 # ------------------------------------------------------- embedding verdicts
@@ -404,9 +406,11 @@ def test_embedding_point_mass_verdict():
 
 
 def test_embedding_zero_measure_all_ratios_vanish():
+    # under t^2 into t^2 condition (18) fails, so membership, which refuses
+    # a custom weight, is not reached
     zero = density_measure(lambda z: np.zeros(np.shape(z)),
                            support=Box(0.0, 1.0, 0.0, 1.0))
-    v = C.embedding_test(zero, T2, T1, family_spec=SMALL_FAMILY)
+    v = C.embedding_test(zero, T2, T2, family_spec=SMALL_FAMILY)
     assert v.empirical_ratio == 0.0
     assert v.boundary_growth is None
 

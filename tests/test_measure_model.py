@@ -13,7 +13,6 @@ from bergman_orlicz import carleson as C
 from bergman_orlicz import growth as G
 from bergman_orlicz import orlicz as O
 from bergman_orlicz.errors import AccuracyError, BergmanOrliczError
-from bergman_orlicz.halfplane import Box, HPoint
 
 TRIANGULAR = [(1, 0, 0, 1, 0), (2, 0, 0, 1, 0), (1, 1, 0, 1, 0.5)]
 NON_TRIANGULAR = [(1, -1, 1, 1, 0), (2, 1, 1, 3, 0.3)]
@@ -70,12 +69,3 @@ def test_divergent_pullback_transform_is_an_accuracy_error():
     with pytest.raises(AccuracyError):
         C.berezin(O.mobius_measure(1, -1, 1, 1, 0), Z)
 
-
-def test_restrict_keeps_a_pullback_whole():
-    box = Box(-2.0, 2.0, 0.5, 2.0)
-    mu = O.mobius_measure(1, -1, 1, 1, 0)
-    assert C._restrict(mu, box) is mu
-    atoms = O.atomic_measure([(HPoint(0, 1), 1.0), (HPoint(3, 1), 2.0)])
-    assert C._restrict(atoms, box).atoms == ((HPoint(0, 1), 1.0),)
-    assert C._restrict(O.valpha_measure(0.5), box).support == box
-    assert C._restrict(O.valpha_measure(0.5, Box(3, 4, 0.5, 1)), box) is None
