@@ -215,25 +215,28 @@ class _ModularEngine:
     modular pass maps that store through `_phi_step` at its lambda, a
     fresh `quadrature.MappedField` (times the polar factor R for a Disk);
     its first integrated panel maps the stored blocks and row-sums them
-    into a table of every known panel's (value, abs_value, err).  The
-    pass's adaptive walk reads known panels from that table and evaluates
-    the others in batches: the two halves of a split, and the first panels
-    of the next `quadrature.STRIP_LOOKAHEAD` graded strips, which answer
-    every strip that needs no split.  A batch is one call of f and the
-    weight and one Phi call.  So a root-finding probe
-    after the first costs one vectorised step per block of
-    `quadrature.BLOCK_PANELS` panels plus one per batch of panels no
-    earlier pass evaluated, with every result bit for bit the
-    panel-by-panel one.
+    into a table of every known panel's (value, abs_value, err) and split
+    axis.  The pass's adaptive walk reads known panels from that table and
+    evaluates the others in batches: the two halves of a split, and the
+    first panels of the next `quadrature.STRIP_LOOKAHEAD` graded strips,
+    which answer every strip that needs no split.  A batch is one call of
+    f and the weight and one Phi call.  So a root-finding probe after the
+    first costs one vectorised step per block of `quadrature.BLOCK_PANELS`
+    panels plus one per batch of panels no earlier pass evaluated, with
+    every result bit for bit the panel-by-panel one.
 
     The tolerance comes with each pass, so one store serves passes at
     several tolerances.  Worst-first refinement splits a box's panels, and
-    a graded chain runs its strips, in the same order at any tolerance, so
-    a pass at a finer one over the same integrand evaluates only the
-    panels the coarser passes did not reach.  A chain, and the whole
-    plane's shells, end once their pieces decay at a steady ratio
-    (`quadrature._sum_tail`), so a pass reaches a few strips below those
-    that hold its mass.  `norm` and `modular` are `luxembourg` and
+    a graded chain runs its strips (each 1/8 as high as the one above), in
+    the same order at any tolerance, so a pass at a finer one over the
+    same integrand evaluates only the panels the coarser passes did not
+    reach.  A panel is split across the axis its mapped values vary in,
+    so passes at two lambdas split it alike under a power Phi, whose
+    values at one are a multiple of those at the other (up to rounding
+    near a tie), and may split it apart under another Phi.  A chain, and
+    the whole plane's shells, end once their pieces decay at a steady
+    ratio (`quadrature._sum_tail`), so a pass reaches a few strips below
+    those that hold its mass.  `norm` and `modular` are `luxembourg` and
     `modular` on this store.
     """
 

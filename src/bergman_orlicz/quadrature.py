@@ -8,6 +8,10 @@ values are the order-16 tensor values and then the order-8 ones as one
 flat row, on nodes that are two affine maps of reference nodes built once
 per rule (`_rule`).  The driver, `_adapt`, refines worst-first with a
 sequence-number tie-break, so results are bit-stable for a fixed integrand.
+It halves a 2-D panel across the axis its order-16 values vary in, read
+from their tensor Legendre coefficients (`_split_axes`), not across its
+longest edge: a graded strip is far wider than high, and near the
+boundary a feature can be far higher than wide.
 
 Fields are `PanelField`s.  `batch(rects)` returns the RULE values of k
 rects as (k, n) rows.  A `Field2D` is the one store: it evaluates the rects
@@ -17,18 +21,20 @@ BLOCK_PANELS rows (the cache entry is a view of that row).  `blocks()`
 hands the stored rows on, block by block, and a `MappedField` maps them,
 or a batch, through one function of the rows: a modular pass's Phi step
 (`orlicz`) or a polar chart's area factor R (`halfplane`).  A field's
-`known` table holds the (value, abs_value, err) of every panel stored when
-it is first integrated, summed block-wise in `_table`, and `_panels` adds
-each panel it evaluates; the row sums of `_sums` are bit for bit those of
-one panel.  `_panels` answers known panels from the table and evaluates
-the others in one batch: `_adapt` asks for both halves of a split at once,
-and a strip chain asks for the first panels of its next STRIP_LOOKAHEAD
-strips at once.  A Luxembourg solve maps its one store afresh for each
-modular pass, so a pass after the first re-sums the panels of the passes
-before it in one vectorised step per block.
+`known` table holds the (value, abs_value, err, axis) of every panel
+stored when it is first integrated, summed block-wise in `_table`, and
+`_panels` adds each panel it evaluates; the row sums of `_sums` are bit
+for bit those of one panel.  `_panels` answers known panels from the
+table and evaluates the others in one batch: `_adapt` asks for both
+halves of a split at once, and a strip chain asks for the first panels of
+its next STRIP_LOOKAHEAD strips at once, reading the split axes of only
+those it will split.  A Luxembourg solve maps its one store afresh for
+each modular pass, so a pass after the first re-sums the panels of the
+passes before it in one vectorised step per block.
 
 Improper integrals (the real line, boundary singularities y^a with a > -1,
-the half-plane) are cut into doubling shells or strips halving toward y = 0,
+the half-plane) are cut into doubling shells or geometric strips toward
+y = 0, (h/8, h] for a graded box and (h/2, h] for the Dini integral,
 and one driver, `_sum_tail`, sums them: it detects divergence from sustained
 non-decay of the piece masses rather than from magnitude caps, which
 misclassify slowly-decaying convergent integrands, and it stops as soon as
@@ -43,7 +49,8 @@ its divergence rule is that membership verdict.
 
 import cmath
 import heapq
-from functools import cached_property
+import math
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -59,15 +66,22 @@ RULE = (ORDER_HIGH, ORDER_LOW)
 # blocks ran lux-bisect no faster and raised its peak RSS by 0.8 MB (one
 # 20 s run each on a 2-core machine).
 BLOCK_PANELS = 32
-# graded strips whose first panels `integrate_box_graded` evaluates in one
-# batch; a divisor of MAX_STRIPS.  On pullback rounds 1-3 of seed 1 (CPU
-# time per round, median of 6, on a 2-core machine) runs of 4, 5, 8, 10 and
-# 16 strips took 1.82, 1.49, 1.61, 1.54 and 1.58 s, one strip at a time
-# 3.0 s.  Evaluating past each chain's last strip raised the node
-# evaluations of every field by 9.1%, 2.1%, 22%, 14% and 30% on pullback
-# and by 4.5%, 9.2%, 9.5%, 21% and 11% on lux-bisect.
-STRIP_LOOKAHEAD = 5
+# graded strips whose first panels `_strip_chain` evaluates in one batch.
+# Ratio-8 chains end after 5-8 strips.  On the first traced round of seed 6
+# (perfbench --trace 1), runs of 3, 4, 5, 6, 7, 8 and 10 strips fed f
+# 1.06M, 1.22M, 1.44M, 1.12M, 1.13M, 1.22M and 1.44M nodes and Phi 1.73M,
+# 2.05M, 2.09M, 1.79M, 1.88M, 2.05M and 2.44M on pullback, and f 157k,
+# 153k, 183k, 190k, 154k, 153k and 183k and Phi 962k, 931k, 1.11M, 1.17M,
+# 953k, 932k and 1.11M on lux-bisect.  Runs of 5, 6, 7, 8 and 10 took a
+# median 0.229, 0.193, 0.187, 0.184 and 0.202 s per pullback round and
+# 0.073, 0.074, 0.062, 0.061 and 0.068 s per lux-bisect round (4 runs
+# each, 2-core machine): 7 and 8 tie on time, and 7 feeds f and Phi 6%
+# fewer nodes than 8 over both workloads.
+STRIP_LOOKAHEAD = 7
+# the reach of a strip chain, in halvings of its top: 2^-MAX_STRIPS * top
 MAX_STRIPS = 400
+# a graded box's strips are (h / STRIP_RATIO, h]; see `integrate_box_graded`
+STRIP_RATIO = 8
 
 _nodes_cache = {}
 _rule_cache = {}
@@ -147,8 +161,58 @@ def _sums(rect, vals):
     return hi, hi_abs, abs(hi - lo)
 
 
+@cache
+def _legendre():
+    """The matrix that maps a polynomial's values at the order-16 Gauss
+    nodes to its Legendre coefficients, degree by row."""
+    t, w = gauss_nodes(ORDER_HIGH)
+    vander = np.polynomial.legendre.legvander(t, ORDER_HIGH - 1)
+    return (np.arange(ORDER_HIGH) + 0.5)[:, None] * vander.T * w
+
+
+def _split_axes(rows):
+    """The axis, 0 for x and 1 for y, that `_split` halves each of k 2-D
+    panels across, from their (k, n) RULE rows; a list of k.
+
+    The tensor Legendre coefficients C = L V L^T of a panel's order-16
+    values V (x by row) show where they vary: x is halved when the
+    coefficients of upper x degree hold at least the |C|-mass of those of
+    upper y degree.  The block upper in both degrees counts for both, so
+    only the two mixed blocks are compared.
+    """
+    leg, half = _legendre(), ORDER_HIGH // 2
+    v = rows[:, :ORDER_HIGH ** 2].reshape(-1, ORDER_HIGH, ORDER_HIGH)
+    with np.errstate(over="ignore", invalid="ignore"):
+        upper_x = np.add.reduce(np.abs(leg[half:] @ v @ leg[:half].T), (1, 2))
+        upper_y = np.add.reduce(np.abs(leg[:half] @ v @ leg[half:].T), (1, 2))
+    return (upper_x < upper_y).astype(int).tolist()
+
+
+def _quadruples(rects, rows, tol=None):
+    """{rect: (value, abs_value, err, axis)} of k rects from their (k, n)
+    RULE rows: `_sums`, and the axis `_split` halves each across.
+
+    The axis is 0 in 1-D.  A 2-D panel's is `_split_axes`; given tol, only
+    a panel whose err exceeds `_err_bound` at tol, one that `_adapt` on
+    that panel alone splits, gets one, and the others get None (`_adapt`
+    reads the axis of one it splits after all).
+    """
+    quads = list(zip(*(s.tolist() for s in _sums(_columns(rects), rows))))
+    if len(rects[0]) == 2:
+        return {r: q + (0,) for r, q in zip(rects, quads)}
+    split = [None] * len(rects)
+    want = [i for i, (v, a, e) in enumerate(quads)
+            if tol is None or e > _err_bound(v, a, tol)]
+    if want:
+        axes = _split_axes(rows if len(want) == len(rects) else rows[want])
+        for i, axis in zip(want, axes):
+            split[i] = axis
+    return {r: q + (axis,) for r, q, axis in zip(rects, quads, split)}
+
+
 def _table(field):
-    """{rect: (value, abs_value, err)} of every panel in `field.blocks()`.
+    """{rect: (value, abs_value, err, axis)} of every panel in
+    `field.blocks()`; see `_quadruples`.
 
     A block may hold panels the caller's integration never visits, so
     float overflow in their sums is not reported; a visited panel's inf or
@@ -156,9 +220,8 @@ def _table(field):
     """
     table = {}
     with np.errstate(over="ignore", invalid="ignore"):
-        for rects, vals in field.blocks():
-            sums = _sums(_columns(rects), vals)
-            table.update(zip(rects, zip(*(s.tolist() for s in sums))))
+        for rects, rows in field.blocks():
+            table.update(_quadruples(rects, rows))
     return table
 
 
@@ -296,9 +359,10 @@ class MappedField(PanelField):
             yield rects, self.g(rects, rows)
 
 
-def _panels(field, rects):
+def _panels(field, rects, tol=None):
     """Integrate a field on each of some distinct panels at both orders of
-    RULE; return their (value, abs_value, err) triples.
+    RULE; return their (value, abs_value, err, axis) quadruples
+    (`_quadruples`).
 
     Known panels come from the field's `known` table; the others are
     evaluated in one `batch` call, row-summed in one `_sums` call and added
@@ -307,14 +371,21 @@ def _panels(field, rects):
     known = field.known
     new = [r for r in rects if r not in known]
     if new:
-        sums = _sums(_columns(new), field.batch(new))
-        known.update(zip(new, zip(*(s.tolist() for s in sums))))
+        known.update(_quadruples(new, field.batch(new), tol))
     return [known[r] for r in rects]
 
 
-def _split(rect):
-    """The two halves of a rect across its longest edge (x on a tie)."""
-    k = 2 if len(rect) == 4 and rect[3] - rect[2] > rect[1] - rect[0] else 0
+def _split(rect, axis):
+    """The two halves of a rect across an axis, 0 for x and 1 for y: the
+    one `_split_axes` reads from a 2-D panel's values.
+
+    A graded strip (h/8, h] of a field ~ y^a is far wider than high, and
+    halving its longest edge would chase in x what varies in y; a
+    feature about y wide near the boundary is the converse case.  The
+    values' Legendre coefficients tell the two apart (the DCUHRE rule of
+    Berntsen, Espelid & Genz, ACM TOMS 17, 1991, on a tensor rule).
+    """
+    k = 2 * axis
     lo, hi = rect[k], rect[k + 1]
     mid = 0.5 * (lo + hi)
     return (rect[:k] + (lo, mid) + rect[k + 2:],
@@ -337,32 +408,35 @@ def _adapt(field, rect, tol):
     """Worst-first adaptive integral of a field over a rect of one or two
     intervals; return (value, abs_value, err).
 
-    The worst panel is split across its longest edge until the summed error
-    is within `_err_bound`.  More than MAX_PANELS splits raise
-    AccuracyError, and so does a NaN (it compares False, so the loop stops
-    on it as if converged); an infinite value raises DivergenceError.
+    The worst panel is split across the axis its values vary in (`_split`)
+    until the summed error is within `_err_bound`.  More than MAX_PANELS
+    splits raise AccuracyError, and so does a NaN (it compares False, so
+    the loop stops on it as if converged); an infinite value raises
+    DivergenceError.
     """
     if _empty(rect):
         return 0.0, 0.0, 0.0
     dim = len(rect) // 2
-    [(value, aval, err)] = _panels(field, (rect,))
-    heap = [(-err, 0, rect, value, aval, err)]
+    [(value, aval, err, axis)] = _panels(field, (rect,))
+    heap = [(-err, 0, rect, value, aval, err, axis)]
     total, total_abs, total_err, seq = value, aval, err, 0
     while total_err > _err_bound(total, total_abs, tol) and heap:
         if seq >= MAX_PANELS[dim]:
             raise AccuracyError(
                 f"{dim}-D quadrature used {seq} panels without reaching tol={tol}"
             )
-        _, _, prect, pval, paval, perr = heapq.heappop(heap)
+        _, _, prect, pval, paval, perr, paxis = heapq.heappop(heap)
+        if paxis is None:
+            [paxis] = _split_axes(field.batch((prect,)))
         seq += 1
         dv, da, de = -pval, -paval, -perr
-        halves = _split(prect)
-        for i, (srect, (sv, sa, se)) in enumerate(
+        halves = _split(prect, paxis)
+        for i, (srect, (sv, sa, se, sx)) in enumerate(
                 zip(halves, _panels(field, halves))):
             dv += sv
             da += sa
             de += se
-            heapq.heappush(heap, (-se, 2 * seq + i, srect, sv, sa, se))
+            heapq.heappush(heap, (-se, 2 * seq + i, srect, sv, sa, se, sx))
         total += dv
         total_abs += da
         total_err += de
@@ -436,6 +510,12 @@ def _sum_tail(pieces, tol, rule, what, base=(0.0, 0.0, 0.0)):
     `limit` or more never stops the sum.  While the summed mass, base
     included, is 0, pieces neither stop the sum nor count; EMPTY_PIECES of
     them make the total 0.  Running out of pieces raises AccuracyError.
+
+    `run` and `warmup` count pieces, whatever their size: a graded box's
+    rule (0.95^3, 6, 12) over strips of ratio 8 calls y^a divergent where
+    (0.95, 6, 12) did over halving strips, at the same piece.  Strip
+    ratios that settle like 1 + c r^-k on strips of ratio r meet the
+    geometric stop after fewer pieces the larger r is.
     """
     limit, run, warmup = rule
     total, total_abs, err = base
@@ -501,51 +581,63 @@ def integrate_box(field, rect, tol=1e-8):
     return _adapt(field, rect, tol)
 
 
-def _strip_chain(field, strip, top, tol):
-    """The (value, abs_value, err) of MAX_STRIPS strips halving toward 0
-    from top, the strip (lo, hi) being the rect `strip(lo, hi)`: the pieces
-    a graded integral hands to `_sum_tail`.
+def _strip_chain(field, strip, top, tol, ratio):
+    """The (value, abs_value, err) of the strips (hi / ratio, hi] from top
+    toward 0, the strip (lo, hi) being the rect `strip(lo, hi)`: the pieces
+    a graded integral hands to `_sum_tail`.  ratio is a power of 2, and the
+    chain has MAX_STRIPS / log2(ratio) strips, rounded up, so it reaches
+    about 2^-MAX_STRIPS * top at any ratio.
 
     The strips come in runs of STRIP_LOOKAHEAD, and the first panels of a
     run are evaluated in one `_panels` call before its first strip is
     reached.  A strip whose first panel has a finite value and an error
     within `_err_bound` is that panel's triple, bit for bit what
     `integrate_box` would return; any other strip, and an empty one, goes
-    through `integrate_box`.  The lookahead only looks ahead: if it
+    through `integrate_box`, and only such first panels get their split
+    axes read in the batch.  The lookahead only looks ahead: if it
     raises, each strip of the run goes through `integrate_box`, and the
     error comes back when the chain reaches the strip that raised it, or
     never.
     """
-    hi = top
-    for _ in range(0, MAX_STRIPS, STRIP_LOOKAHEAD):
+    hi, left = top, math.ceil(MAX_STRIPS / math.log2(ratio))
+    while left > 0:
         run = []
-        for _ in range(STRIP_LOOKAHEAD):
-            run.append(strip(hi / 2, hi))
-            hi /= 2
+        for _ in range(min(STRIP_LOOKAHEAD, left)):
+            run.append(strip(hi / ratio, hi))
+            hi /= ratio
+        left -= len(run)
         try:
-            firsts = _panels(field, run)
+            firsts = _panels(field, run, tol)
         except Exception:  # whatever the caller's fn raises, deferred
             firsts = [None] * len(run)
         for rect, first in zip(run, firsts):
             if first is not None and not _empty(rect):
-                value, aval, err = first
+                value, aval, err, _ = first
                 if (err <= _err_bound(value, aval, tol)
                         and cmath.isfinite(value)):
-                    yield first
+                    yield value, aval, err
                     continue
             yield integrate_box(field, rect, tol=tol)
 
 
 def integrate_box_graded(field, x0, x1, y_top, tol=1e-8):
-    """Integral over (x0, x1) x (0, y_top] by strips halving toward y = 0,
-    run by `_strip_chain`: most strips, which need no split, are answered
-    from the chain's lookahead, and the rest go through `integrate_box`.
-    Near y = 0 an integrand ~ y^a puts 2^-(1+a) of a strip's mass in the
-    next, so `_sum_tail` sums the strips below the third such one in
-    closed form.
+    """Integral over (x0, x1) x (0, y_top] by the strips
+    (y_top 8^-(k+1), y_top 8^-k] toward y = 0, run by `_strip_chain`: most
+    strips, which need no split, are answered from the chain's lookahead,
+    and the rest go through `integrate_box`.  Near y = 0 an integrand
+    ~ y^a puts 8^-(1+a) of a strip's mass in the next, so `_sum_tail` sums
+    the strips below the third such one in closed form.
+
+    A ratio of 8 suits a boundary singularity better than halving (the
+    best geometric grading of hp-refinement is near (sqrt 2 - 1)^2 = 0.17;
+    Gui & Babuska, Numer. Math. 49, 1986): a chain ends after 5-8 strips
+    where halving took 10-16.  The divergence limit 0.95^3 is the one
+    halving strips had, 0.95, over three halvings, so y^a is divergent
+    for the same a: 8^-(1+a) >= 0.95^3 exactly when 2^-(1+a) >= 0.95.
     """
-    strips = _strip_chain(field, lambda lo, hi: (x0, x1, lo, hi), y_top, tol)
-    return _sum_tail(strips, tol, (0.95, 6, 12), "mass near y=0")
+    strips = _strip_chain(field, lambda lo, hi: (x0, x1, lo, hi), y_top, tol,
+                          STRIP_RATIO)
+    return _sum_tail(strips, tol, (0.95 ** 3, 6, 12), "mass near y=0")
 
 
 def integrate_halfplane(field, tol=1e-8):

@@ -497,14 +497,14 @@ def test_composition_dilation_verdict_ratio_half():
 # float.hex of the worst empirical ratio of the benchmark's pullback maps
 # (t^2, beta = alpha = 0), frozen before graded strips and split halves were
 # evaluated in batches: batching must not move a bit.  Re-pinned when
-# geometric tails were summed, after a check against the exact ratio: the
-# pullback of V_0 under z -> a z + b is V_0 / a^2, so the t^2 ratio is
-# 1 / a for every member.
+# geometric tails were summed and when graded strips went to ratio 8,
+# after a check against the exact ratio: the pullback of V_0 under
+# z -> a z + b is V_0 / a^2, so the t^2 ratio is 1 / a for every member.
 PULLBACK_FAMILY = {"kernels": 2, "atoms": 1, "window": (2, 1),
                    "im_lo": 0.1, "support_size": 2}
-PULLBACK_PINS = [("identity", (1.0, 0.0, 0.0, 1.0), "0x1.000004e22bf8bp+0"),
-                 ("2z", (2.0, 0.0, 0.0, 1.0), "0x1.000004e22bf8bp-1"),
-                 ("z+1", (1.0, 1.0, 0.0, 1.0), "0x1.000004e22bf8bp+0")]
+PULLBACK_PINS = [("identity", (1.0, 0.0, 0.0, 1.0), "0x1.00000267c48f7p+0"),
+                 ("2z", (2.0, 0.0, 0.0, 1.0), "0x1.00000267c48f7p-1"),
+                 ("z+1", (1.0, 1.0, 0.0, 1.0), "0x1.00000267c48f7p+0")]
 
 
 @pytest.mark.parametrize("name,coeffs,pin", PULLBACK_PINS,
@@ -515,6 +515,29 @@ def test_bits_composition_ratio(name, coeffs, pin):
                             tol=1e-4)
     assert abs(v.empirical_ratio * coeffs[0] - 1.0) <= 1e-6
     assert v.empirical_ratio.hex() == pin
+
+
+@pytest.mark.parametrize("coeffs,beta", [
+    ((1.0, 0.0, 0.0, 1.0), 0.0), ((2.0, 0.0, 0.0, 1.0), 0.0),
+    ((1.0, 1.0, 0.0, 1.0), 0.0), ((1.0, 1.0, 0.0, 1.0), 0.5),
+], ids=["id", "2z", "z+1", "z+1 beta 0.5"])
+def test_composition_legs_match_the_closed_form(coeffs, beta):
+    # the whole-plane legs of the `composition` criterion: w = (a z + b) / d
+    # has Im z = (d / a) Im w and dA(z) = (d / a)^2 dA(w), so both sides of
+    # the substitution identity are (d / a)^(beta + 2) times the decay
+    # family's closed modular
+    a, b, c, d = coeffs
+    F = B.decay(1.0, 4)
+    exact = B.decay_modular_exact(1.0, 4, 2, beta) * (d / a) ** (beta + 2)
+
+    def composed(z):
+        z = np.asarray(z, complex)
+        return np.abs(F((a * z + b) / (c * z + d))) ** 2
+
+    lhs = integrate(composed, beta, None, tol=1e-8)
+    rhs = modular(F, C.pullback_mobius(a, b, c, d, beta), T2, tol=1e-8)
+    assert abs(lhs - exact) <= 1e-10 * exact
+    assert abs(rhs - exact) <= 1e-10 * exact
 
 
 def test_composition_right_hand_side_evaluates_only_new_nodes(monkeypatch):

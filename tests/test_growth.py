@@ -338,7 +338,8 @@ def test_dini_chain_keeps_its_errors(p):
 def test_dini_chain_drops_errors_past_its_stop():
     # t^2 / s^2 = 1 sums the strips 2^-k of (0, 1] until strip 3, (2^-3,
     # 2^-2], and adds their geometric rest; the lookahead batch of strips
-    # 1-5 reaches 2^-5, and below 2^-4 this Phi raises
+    # 1 to STRIP_LOOKAHEAD (5 or more) reaches 2^-5, and below 2^-4 this
+    # Phi raises
     raised = []
 
     def fn(s):

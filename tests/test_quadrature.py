@@ -109,9 +109,11 @@ def test_block_table_equals_panel_sums(dim):
     table = Q._table(field)
     assert list(table) == rects
     for r in rects:
-        alone = Q._sums(r, field.values(r, Q.RULE))
-        assert [float(v).hex() for v in table[r]] == \
+        row = field.values(r, Q.RULE)
+        alone = Q._sums(r, row)
+        assert [float(v).hex() for v in table[r][:3]] == \
             [float(v).hex() for v in alone]
+        assert table[r][3] == (Q._split_axes(row[None])[0] if dim == 2 else 0)
 
 
 @pytest.mark.parametrize("dim", [1, 2])
@@ -137,10 +139,13 @@ def test_panels_batch_equals_panel_by_panel(dim):
     field = Q.Field2D(counted)
     got = Q._panels(field, rects)
     assert sizes == [len(rects) * n]
-    for r, triple in zip(rects, got):
-        alone = Q._sums(r, Q.Field2D(fn).values(r, Q.RULE))
-        assert [float(v).hex() for v in triple] == \
+    for r, quadruple in zip(rects, got):
+        row = Q.Field2D(fn).values(r, Q.RULE)
+        alone = Q._sums(r, row)
+        assert [float(v).hex() for v in quadruple[:3]] == \
             [float(v).hex() for v in alone]
+        assert quadruple[3] == (Q._split_axes(row[None])[0] if dim == 2
+                                else 0)
     assert Q._panels(field, rects[::-1]) == got[::-1]
     assert len(sizes) == 1
     part = Q.Field2D(counted)
@@ -238,16 +243,41 @@ def test_box_graded_log_powers_match_the_closed_form(a, k, tol):
     assert abs(v - exact) <= 0.1 * tol * exact
 
 
-@pytest.mark.parametrize("fn", [
-    lambda x, y: 1.0 / y,
-    # finite (Gamma(5) / 0.5^5), but its strip masses still grow past
-    # strip 13, so the flat-run rule calls it divergent
-    lambda x, y: y ** -0.5 * np.log(1.0 / y) ** 4,
+@pytest.mark.parametrize("fn,exact", [
+    (lambda x, y: 1.0 / y, None),
+    # finite, Gamma(5) / 0.5^5 = 768: its strip ratios 8^-0.5 (1 + 1/k)^4
+    # fall below the divergence limit 0.95^3 after strip 4 (halving strips
+    # had 2^-0.5 (1 + 1/k)^4, above 0.95 until strip 13, and read it as
+    # divergent)
+    (lambda x, y: y ** -0.5 * np.log(1.0 / y) ** 4, 768.0),
 ], ids=["1/y", "y^-0.5 log^4"])
-def test_box_graded_divergence_keeps_its_message(fn):
-    with pytest.raises(DivergenceError) as e:
-        Q.integrate_box_graded(Q.Field2D(fn), 0.0, 1.0, 1.0, tol=1e-6)
-    assert str(e.value) == "mass near y=0 does not decay (piece 13)"
+def test_box_graded_divergence_keeps_its_message(fn, exact):
+    if exact is None:
+        with pytest.raises(DivergenceError) as e:
+            Q.integrate_box_graded(Q.Field2D(fn), 0.0, 1.0, 1.0, tol=1e-6)
+        assert str(e.value) == "mass near y=0 does not decay (piece 13)"
+    else:
+        v, _, _ = Q.integrate_box_graded(Q.Field2D(fn), 0.0, 1.0, 1.0,
+                                         tol=1e-8)
+        assert abs(v - exact) <= 1e-8 * exact
+
+
+@pytest.mark.parametrize("beta", [-0.5, -0.8, -0.9, -0.92, -0.925,
+                                  -0.93, -0.95, -0.99, -1.0])
+def test_box_graded_power_classification(beta):
+    # cos(x) y^beta over (0, 1]^2 is sin(1) / (1 + beta).  A strip holds
+    # 8^-(1 + beta) of the mass of the one above, at least 0.95^3 exactly
+    # when 2^-(1 + beta) >= 0.95, beta <= -0.926: the powers a halving
+    # chain called divergent still are, with the same message
+    field = Q.Field2D(lambda x, y: np.cos(x) * y ** beta)
+    if 2.0 ** -(1 + beta) < 0.95:
+        v, _, _ = Q.integrate_box_graded(field, 0.0, 1.0, 1.0, tol=1e-12)
+        exact = math.sin(1.0) / (1 + beta)
+        assert abs(v - exact) <= 1e-12 * exact
+    else:
+        with pytest.raises(DivergenceError) as e:
+            Q.integrate_box_graded(field, 0.0, 1.0, 1.0, tol=1e-12)
+        assert str(e.value) == "mass near y=0 does not decay (piece 13)"
 
 
 def test_nan_integrand_raises():
@@ -287,6 +317,29 @@ def test_box_graded_mass_below_empty_strips():
     field = Q.Field2D(lambda x, y: np.exp(-1e4 * y))
     v, _, _ = Q.integrate_box_graded(field, 0.0, 1.0, 1.0)
     assert abs(v - 1e-4) < 1e-8 * 1e-4
+
+
+def test_box_graded_wide_strip_splits_in_y():
+    # the strips are 3 wide and exp(-1e4 y) varies only in y: halving the
+    # longest edge would split them in x until MAX_PANELS
+    field = Q.Field2D(lambda x, y: np.exp(-1e4 * y))
+    v, _, _ = Q.integrate_box_graded(field, -1.0, 2.0, 1.5, tol=1e-8)
+    assert abs(v - 3e-4) <= 1e-8 * 3e-4
+
+
+@pytest.mark.parametrize("fn,rect,axis", [
+    (lambda x, y: np.exp(-30.0 * y) + x, (0.0, 100.0, 0.0, 1.0), 1),
+    (lambda x, y: np.exp(-30.0 * x) + y, (0.0, 1.0, 0.0, 0.01), 0),
+], ids=["y", "x"])
+def test_split_axis_follows_the_values(fn, rect, axis):
+    # a 100-wide panel whose values vary in y is halved across y, and a
+    # 0.01-high one whose values vary in x across x
+    [(_, _, _, got)] = Q._panels(Q.Field2D(fn), (rect,))
+    assert got == axis
+    lo, hi = Q._split(rect, got)
+    mid = 0.5 * (rect[2 * axis] + rect[2 * axis + 1])
+    assert lo[2 * axis + 1] == hi[2 * axis] == mid
+    assert lo[2 - 2 * axis:][:2] == hi[2 - 2 * axis:][:2]
 
 
 def test_halfplane_kernel_power():
@@ -337,8 +390,9 @@ def test_1d_field_and_callable_agree():
 
 # float.hex of results frozen before the panel rule moved to one field call
 # per panel: fusing both orders into one call must not move a bit.  Pins of
-# improper integrals, re-pinned when geometric tails were summed, are first
-# checked against their closed forms.
+# improper integrals, re-pinned when geometric tails were summed and when
+# graded strips went to ratio 8, are first checked against their closed
+# forms.
 def _hexes(values):
     return [float(v).hex() for v in values]
 
@@ -355,7 +409,7 @@ def test_bits_integrate_box_graded():
     exact = 2.0 * np.sin(1.0)
     assert abs(r[0] - exact) <= 1e-9 * exact
     assert _hexes(r) == [
-        "0x1.aed548f090ceep+0", "0x1.aed548f090ceep+0", "0x1.22d0000000000p-43"]
+        "0x1.aed548f090cecp+0", "0x1.aed548f090cecp+0", "0x1.a546680000000p-36"]
 
 
 def test_bits_integrate_halfplane():
@@ -365,7 +419,7 @@ def test_bits_integrate_halfplane():
     exact = np.sqrt(np.pi) * (3.0 - np.exp(-9.0)) / 2.0
     assert abs(r[0] - exact) <= 1e-8 * exact
     assert _hexes(r) == [
-        "0x1.544c11604ffcep+1", "0x1.544c11604ffcep+1", "0x1.c6b5d88221871p-32"]
+        "0x1.544c11602ea91p+1", "0x1.544c11602ea91p+1", "0x1.d8f3579ab7f18p-32"]
 
 
 def test_bits_integrate_1d_line():
@@ -413,12 +467,16 @@ def _graded_strip_by_strip(field, x0, x1, y_top, tol):
     answered from that batch."""
 
     def strips():
-        hi = y_top
-        for _ in range(0, Q.MAX_STRIPS, Q.STRIP_LOOKAHEAD):
+        # a batch reads the split axes of all its panels, the chain's only
+        # those of the panels it splits
+        ratio = Q.STRIP_RATIO
+        hi, left = y_top, math.ceil(Q.MAX_STRIPS / math.log2(ratio))
+        while left > 0:
             run = []
-            for _ in range(Q.STRIP_LOOKAHEAD):
-                run.append((x0, x1, hi / 2, hi))
-                hi /= 2
+            for _ in range(min(Q.STRIP_LOOKAHEAD, left)):
+                run.append((x0, x1, hi / ratio, hi))
+                hi /= ratio
+            left -= len(run)
             try:
                 Q._panels(field, run)
             except Exception:
@@ -426,7 +484,7 @@ def _graded_strip_by_strip(field, x0, x1, y_top, tol):
             for rect in run:
                 yield Q.integrate_box(field, rect, tol=tol)
 
-    return Q._sum_tail(strips(), tol, (0.95, 6, 12), "mass near y=0")
+    return Q._sum_tail(strips(), tol, (0.95 ** 3, 6, 12), "mass near y=0")
 
 
 def _outcome(run, *args):
@@ -480,16 +538,20 @@ def _raising_below(y_min, raised):
 
 
 def test_graded_chain_lookahead_errors_past_its_stop_are_dropped():
-    # the constant field's strips halve, so at tol 1e-7 its chain stops at
-    # strip 3, (2^-3, 2^-2], and adds the geometric rest; the lookahead
-    # batch of strips 1-5 reaches strip 5, (2^-5, 2^-4], and raises there
+    # the constant field's strip masses fall by 1/8, so at tol 1e-7 its
+    # chain stops at strip 3, (8^-3, 8^-2], and adds the geometric rest;
+    # the lookahead batch of strips 1 to n = STRIP_LOOKAHEAD reaches strip
+    # n, (8^-n, 8^-(n-1)], and raises there
+    n = Q.STRIP_LOOKAHEAD
+    assert n > 3
+    y_min = float(Q.STRIP_RATIO) ** -(n - 1)
     outcomes = []
     for run in (Q.integrate_box_graded, _graded_strip_by_strip):
         raised = []
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             outcomes.append(_outcome(
-                run, Q.Field2D(_raising_below(2.0 ** -4, raised)),
+                run, Q.Field2D(_raising_below(y_min, raised)),
                 0.0, 1.0, 1.0, 1e-7))
         assert any(raised)
     assert outcomes[0] == outcomes[1] == _outcome(
@@ -498,12 +560,12 @@ def test_graded_chain_lookahead_errors_past_its_stop_are_dropped():
 
 
 def test_graded_chain_reached_errors_come_back():
-    # the chain reaches strip 3, (2^-3, 2^-2], at tol 1e-8
+    # the chain reaches strip 3, (8^-3, 8^-2], at tol 1e-8
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         for run in (Q.integrate_box_graded, _graded_strip_by_strip):
             with pytest.raises(RuntimeWarning, match="invalid value"):
-                run(Q.Field2D(_raising_below(2.0 ** -2, [])), 0.0, 1.0, 1.0,
+                run(Q.Field2D(_raising_below(8.0 ** -2, [])), 0.0, 1.0, 1.0,
                     1e-8)
 
 
