@@ -30,7 +30,7 @@ from .errors import (  # noqa: F401
     OverflowBracketError,
     ParameterError,
 )
-from .halfplane import Box, CarlesonSquare, Disk, HPoint, StripUnion  # noqa: F401
+from .halfplane import Box, CarlesonSquare, Disk, HPoint  # noqa: F401
 from .orlicz import (  # noqa: F401
     LatticeSequence,
     atomic_measure,
@@ -52,7 +52,7 @@ __all__ = [
     "AccuracyError", "OverflowBracketError", "ConditioningError",
     "NotInSpaceError",
     # geometry
-    "HPoint", "Disk", "CarlesonSquare", "Box", "StripUnion",
+    "HPoint", "Disk", "CarlesonSquare", "Box",
     # measures and norms
     "LatticeSequence", "atomic_measure", "density_measure", "luxembourg",
     "mobius_measure", "modular", "valpha_measure",

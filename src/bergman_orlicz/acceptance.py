@@ -429,7 +429,7 @@ def _crit_growth():
                 growth.custom(lambda t: t ** 2.5)]
     worst = 0.0
     for phi in families:
-        violation, _ = growth.young_report(phi, n=100)
+        violation, _ = growth.young_report(phi)
         worst = min(worst, violation)
     _require(worst >= -1e-9, f"conjugate inequality violated by {worst:.2e}")
 

@@ -130,11 +130,14 @@ def equivalence_experiment(phi, alpha, delta, trials, seed,
     """
     if trials <= 0:
         raise ParameterError(f"trials must be positive, got {trials}")
-    rep = growth.regularity_report(phi)
-    if not rep.nabla2[0]:
+    if support_size < 1:
+        raise ParameterError(
+            f"support_size must be at least 1, got {support_size}")
+    lower, _ = growth.indices(phi)
+    if not growth._fit_dini_constant(phi)[0]:
         raise ParameterError(
             "growth function must satisfy the Dini upper-half condition")
-    if rep.indices[0] < 1.0 - 1e-6:
+    if lower < 1.0 - 1e-6:
         raise ParameterError("growth function must have lower index >= 1")
 
     lat = lattice.build(delta, window)
@@ -214,7 +217,8 @@ def khintchine_check(x, phi, sampler=None):
     Parameters
     ----------
     x : dict mapping (k, j) to complex
-        Finitely supported coefficients.
+        Finitely supported coefficients; k, j >= 1, as the sign function
+        of an index k <= 0 is the constant 1.
     phi : GrowthFunction
     sampler : RademacherSampler, optional
 
@@ -229,6 +233,9 @@ def khintchine_check(x, phi, sampler=None):
     items = sorted(x.items())
     if not items:
         return 0.0, 0.0, 0.0
+    if min(min(k, j) for (k, j), _ in items) < 1:
+        raise ParameterError(
+            f"sign indices must be at least 1, got {[k for k, _ in items]}")
     max_idx = max(max(k, j) for (k, j), _ in items)
     if 2 ** max_idx > sampler.grid_size:
         raise AccuracyError(

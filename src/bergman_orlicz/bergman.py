@@ -29,7 +29,6 @@ import numpy as np
 
 from . import lattice as _lattice
 from .errors import ParameterError, need, number
-from .growth import inverse_vec as _phi_inverse_vec
 from .halfplane import HPoint, integrate as _integrate, plane_power_integral
 from .orlicz import LatticeSequence, luxembourg, valpha_measure
 
@@ -300,31 +299,6 @@ def project(F, z, alpha=0.0, tol=1e-6):
         return kernel(zz, w, alpha) * F(w)
 
     return c * _integrate(integrand, alpha, None, tol=tol)
-
-
-def pointwise_bound_check(F, phi, alpha=0.0, z_list=(), tol=1e-8):
-    """Largest ratio of |F(z)| to the norm-scaled growth envelope.
-
-    The envelope at z is inverse(phi)(Im(z)**(-2-alpha)) times the
-    Luxembourg norm of F over the whole weighted plane; a bounded ratio
-    across z_list is the pointwise growth bound.
-
-    Returns
-    -------
-    float
-    """
-    _check_alpha(alpha)
-    if not z_list:
-        raise ParameterError("z_list must be nonempty")
-    lux = luxembourg(F, valpha_measure(alpha), phi, tol=tol).value
-    if lux == 0.0:
-        return 0.0
-    zs = np.array([_as_complex(z) for z in z_list])
-    ys = np.imag(zs)
-    if np.any(ys <= 0):
-        raise ParameterError("evaluation points must be in the half-plane")
-    env = _phi_inverse_vec(phi, ys ** (-2.0 - alpha)) * lux
-    return float(np.max(np.abs(F(zs)) / env))
 
 
 def fn_from_json(obj):

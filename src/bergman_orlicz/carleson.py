@@ -18,11 +18,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bergman, growth, lattice
-from .errors import AccuracyError, DivergenceError, ParameterError
+from .errors import (AccuracyError, DivergenceError, ParameterError, need,
+                     number)
 from .halfplane import (Box, Disk, HPoint, disk_meet, integrate,
                         integrate_disk, plane_power_integral, row_cells)
-from .orlicz import (_ModularEngine, _discrete_modular, _random_sequence,
-                     _solve, luxembourg, mobius_measure, modular,
+from .orlicz import (_ModularEngine, _discrete_luxembourg, _discrete_modular,
+                     _random_sequence, luxembourg, mobius_measure, modular,
                      valpha_measure)
 from .quadrature import MAX_STRIPS, _sum_tail
 
@@ -216,9 +217,9 @@ def berezin_membership(mu, phi1, phi2, alpha=0.0, stage_max=None, tol=1e-6):
     b + (m+1) 2^-k) with b the anchor of `_cells`, so a translation carries
     the grid with the measure.  The averages mu(Q) / V_alpha(Q), weighted by
     V_alpha(Q), form one sequence, and its Luxembourg norm over the window
-    B_K (`_ring`) is the value, solved as `orlicz.seq_luxembourg` solves
-    one.  K is `stage_max` (default MEMBERSHIP_STAGE_MAX), raised until B_K
-    holds the support's bbox, or its top half on the boundary.  The
+    B_K (`_ring`), solved as a lattice sequence's, is the value.  K is
+    `stage_max` (default MEMBERSHIP_STAGE_MAX), raised until B_K holds
+    the support's bbox, or its top half on the boundary.  The
     modulars of the rings B_n minus B_(n-1), n > K, at that value go to
     `quadrature._sum_tail`: its divergence rule is the verdict.
 
@@ -236,9 +237,7 @@ def berezin_membership(mu, phi1, phi2, alpha=0.0, stage_max=None, tol=1e-6):
                    and -2.0 ** reach <= x0 - b and x1 - b < 2.0 ** reach):
             reach += 1
     avgs, weights = _averages(row, alpha, _ring(reach, 0))
-    value = _solve(
-        lambda psi, lam: _discrete_modular(avgs, weights, psi, lam), phi3,
-        lambda: max(float(np.max(avgs)), 1e-30)).value
+    value = _discrete_luxembourg(avgs, weights, phi3).value
 
     rings = (_discrete_modular(*_averages(row, alpha, _ring(n, n - 1)),
                                phi3, value)
@@ -304,18 +303,33 @@ def verdict_to_json(v):
 
 
 def _build_family(spec, alpha, seed):
-    cfg = dict(FAMILY_DEFAULTS)
-    cfg.update(spec or {})
+    """The test family of a `--family` spec: FAMILY_DEFAULTS overridden by
+    its keys, each checked, as (tag, Im w or None, F) triples."""
+    what, spec = "test family", {} if spec is None else spec
+    if not isinstance(spec, dict) or set(spec) - set(FAMILY_DEFAULTS):
+        raise ParameterError(
+            f"{what} takes an object with keys {sorted(FAMILY_DEFAULTS)}, "
+            f"got {spec!r}")
+    cfg = {**FAMILY_DEFAULTS, **spec}
+    kernels, atoms, support = (lattice.as_index(cfg[k]) for k in
+                               ("kernels", "atoms", "support_size"))
+    im_lo, im_hi, delta = (number(cfg, k, what)
+                           for k in ("im_lo", "im_hi", "delta"))
+    window = tuple(lattice.as_index(v) for v in need(cfg, "window", what, 2))
+    if min(kernels, atoms) < 0 or support < 2 or not min(im_lo, im_hi) > 0:
+        raise ParameterError(
+            f"{what} needs kernels, atoms >= 0, support_size >= 2 and "
+            f"im_lo, im_hi > 0, got {spec!r}")
     members = []
-    if cfg["kernels"]:
-        for y in np.geomspace(cfg["im_hi"], cfg["im_lo"], cfg["kernels"]):
+    if kernels:
+        for y in np.geomspace(im_hi, im_lo, kernels):
             members.append(("kernel", y,
                             bergman.normalized_kernel_fn(1j * y, alpha)))
-    if cfg["atoms"]:
-        lat = lattice.build(cfg["delta"], tuple(cfg["window"]))
+    if atoms:
+        lat = lattice.build(delta, window)
         rng = np.random.default_rng(seed)
-        for _ in range(cfg["atoms"]):
-            seq = _random_sequence(lat, rng, 2, cfg["support_size"])
+        for _ in range(atoms):
+            seq = _random_sequence(lat, rng, 2, support)
             members.append(("atom", None, bergman.atom_sum(seq, alpha)))
     if not members:
         raise ParameterError("embedding test family is empty")

@@ -4,7 +4,7 @@ A growth function is a nondecreasing Phi: [0, inf) -> [0, inf] with
 Phi(0) = 0, Phi > 0 on (0, inf) and Phi(inf) = inf. The module provides the
 standard families (powers, power-log perturbations), Young conjugation,
 composition through an inverse, power transforms, dilation indices, and the
-regularity report (upper/lower type, doubling, the Dini-type integral test).
+Dini-type integral test.
 
 Every function evaluates elementwise on numpy arrays. All constructed values
 are immutable; numeric root-finding is deterministic bisection with a fixed
@@ -24,8 +24,6 @@ from .quadrature import _FnField, _strip_chain, _sum_tail
 GRID_POINTS = 400
 GRID_LO = 1e-8
 GRID_HI = 1e8
-INDEX_CAP = 1e6
-TYPE_CONSTANT_CAP = 1e8
 BISECT_ITERS = 90
 MAX_DOUBLINGS = 1000
 
@@ -226,7 +224,7 @@ def power_log(p, a, c):
 def custom(fn, deriv=None, label="custom"):
     """Wrap a user callable (vectorized) as a growth function.
 
-    Convexity is not enforced; regularity_report surfaces violations instead.
+    Convexity is not enforced.
     """
     return _Custom("custom", label, {"fn": fn, "dfn": deriv})
 
@@ -285,9 +283,10 @@ def power_transform(phi, s):
                            {"base": phi, "exponent": float(s) / a})
 
 
-def indices(phi, grid=None):
-    """Dilation indices (a, b): inf and sup of t Phi'(t) / Phi(t) over the grid."""
-    t = _default_grid if grid is None else np.asarray(grid)
+def indices(phi):
+    """Dilation indices (a, b): inf and sup of t Phi'(t) / Phi(t) over a log
+    grid from GRID_LO to GRID_HI."""
+    t = _default_grid
     with np.errstate(over="ignore", invalid="ignore", divide="ignore", under="ignore"):
         ratio = t * phi.deriv(t) / phi(t)
     ratio = ratio[np.isfinite(ratio)]
@@ -352,71 +351,6 @@ def _dini_integral(phi, t, tol=1e-9):
                      f"Dini integral of {phi.label}")[0]
 
 
-@dataclass(frozen=True)
-class RegularityReport:
-    """Numerically fitted regularity profile of a growth function.
-
-    lower_type / upper_type are (exponent, constant) pairs or None when no
-    finite constant fits on the grid; delta2 is (holds, doubling constant);
-    nabla2 is (holds, Dini constant); indices the dilation indices (a, b);
-    grid the abscissae used; convex_ok reports midpoint convexity (custom
-    functions violating it are reported, never rejected).
-    """
-
-    lower_type: tuple
-    upper_type: tuple
-    delta2: tuple
-    nabla2: tuple
-    indices: tuple
-    grid: np.ndarray
-    convex_ok: bool
-
-
-def regularity_report(phi, grid=None):
-    """Fit the type/doubling/Dini profile of phi on a log grid."""
-    t = _default_grid if grid is None else np.asarray(grid)
-    a, b = indices(phi, t)
-
-    s_grid = np.logspace(-4, 4, 60)
-    u_lower = np.logspace(-8, 0, 60)  # scaling factors <= 1
-    u_upper = np.logspace(0, 8, 60)  # scaling factors >= 1
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore", under="ignore"):
-        S, U = np.meshgrid(s_grid, u_lower, indexing="ij")
-        ratio_lo = phi(U * S) / (np.power(U, a) * phi(S))
-        S, U = np.meshgrid(s_grid, u_upper, indexing="ij")
-        ratio_hi = phi(U * S) / (np.power(U, b) * phi(S))
-    c_lo = float(np.nanmax(ratio_lo[np.isfinite(ratio_lo)], initial=0.0))
-    c_hi = float(np.nanmax(ratio_hi[np.isfinite(ratio_hi)], initial=0.0))
-    lower_type = (a, c_lo) if (a > 1e-6 and c_lo < TYPE_CONSTANT_CAP) else None
-    upper_type = (b, c_hi) if (b < INDEX_CAP and c_hi < TYPE_CONSTANT_CAP) else None
-
-    def _doubling_sup(ts):
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore", under="ignore"):
-            v1 = phi(ts)
-            v2 = phi(2 * ts)
-        ok = np.isfinite(v1) & np.isfinite(v2) & (v1 > 0)
-        if (np.isfinite(v1) & (v1 > 0) & np.isinf(v2)).any() or not ok.any():
-            return math.inf
-        return float(np.max(v2[ok] / v1[ok]))
-
-    k_all = _doubling_sup(t)
-    k_inner = _doubling_sup(t[(t >= 1e-4) & (t <= 1e4)])
-    delta2_ok = math.isfinite(k_all) and k_all <= 1.05 * k_inner + 1e-9
-    delta2 = (delta2_ok, k_all)
-
-    nabla2 = _fit_dini_constant(phi)
-
-    conv_t = np.logspace(-6, 6, 80)
-    mid = 0.5 * (conv_t[:-1] + conv_t[1:])
-    with np.errstate(over="ignore", invalid="ignore", under="ignore"):
-        gap = phi(mid) - 0.5 * (phi(conv_t[:-1]) + phi(conv_t[1:]))
-        scale = np.maximum(phi(mid), 1e-300)
-    ok = np.isfinite(gap)
-    convex_ok = bool(np.all(gap[ok] <= 1e-9 * scale[ok]))
-
-    return RegularityReport(lower_type, upper_type, delta2, nabla2, (a, b), t, convex_ok)
-
-
 def _fit_dini_constant(phi):
     """sup_t of (t/Phi(t)) int_0^t Phi(s)/s^2 ds, or (False, inf) on divergence."""
     worst = 0.0
@@ -429,7 +363,7 @@ def _fit_dini_constant(phi):
     return (True, worst)
 
 
-def embedding_condition_check(phi1, phi2, grid=None):
+def embedding_condition_check(phi1, phi2):
     """Admissibility of the pair (phi1, phi2) for the embedding with loss.
 
     Checks that composed = phi1 o phi2^{-1} dominates its own Dini integral
@@ -449,16 +383,16 @@ def embedding_condition_check(phi1, phi2, grid=None):
         return holds, constant, p >= q
     composed = composed_inverse(phi1, phi2)
     holds, constant = _fit_dini_constant(composed)
-    t = _default_grid if grid is None else np.asarray(grid)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore", under="ignore"):
-        ratio = phi1(t) / phi2(t)
+        ratio = phi1(_default_grid) / phi2(_default_grid)
     ratio = ratio[np.isfinite(ratio)]
     monotone = bool(np.all(np.diff(ratio) >= -1e-9 * ratio[:-1]))
     return holds, constant, monotone
 
 
-def young_report(phi, n=100, t_lo=1e-3, t_hi=1e3):
-    """Young-inequality audit for phi and its conjugate on an n x n grid.
+def young_report(phi):
+    """Young-inequality audit for phi and its conjugate on a 100 x 100 log
+    grid of [1e-3, 1e3].
 
     Returns (worst_violation, worst_equality_gap): the most negative relative
     value of Phi(t) + Psi(s) - s t over the grid (0 when the inequality holds
@@ -467,9 +401,8 @@ def young_report(phi, n=100, t_lo=1e-3, t_hi=1e3):
     about 1e-9 relative is expected rather than exact zero.
     """
     psi = conjugate_of(phi)
-    t = np.logspace(math.log10(t_lo), math.log10(t_hi), n)
-    s = np.logspace(math.log10(t_lo), math.log10(t_hi), n)
-    T, S = np.meshgrid(t, s, indexing="ij")
+    t = np.logspace(-3, 3, 100)
+    T, S = np.meshgrid(t, t, indexing="ij")
     with np.errstate(over="ignore", invalid="ignore", under="ignore"):
         lhs = phi(T) + psi(S)
         scale = np.maximum(S * T, 1e-300)

@@ -5,8 +5,8 @@ Euclidean disks D_s(z) = {w : |w - z| < s Im z} with 0 < s < 1, so they stay
 inside the half-plane. Integration closed forms reduce to the Beta function.
 
 This module is the only one that knows the region kinds: a Box (a Carleson
-square I x (0, |I|] is the boundary Box `CarlesonSquare` returns), a Disk, a
-StripUnion of boxes, or None for the whole half-plane.  Each region answers
+square I x (0, |I|] is the boundary Box `CarlesonSquare` returns), a Disk,
+or None for the whole half-plane.  Each region answers
 `contains`, `bbox` and its V_alpha `mass`; `_integrate_region` integrates a
 field over any of them, a disk on one polar chart.  `row_cells` and
 `disk_meet` give V_tau of a region's meet with a row of dyadic cells and
@@ -116,29 +116,7 @@ def CarlesonSquare(interval_center, interval_length):
     return Box(c - 0.5 * length, c + 0.5 * length, 0.0, length)
 
 
-@dataclass(frozen=True)
-class StripUnion:
-    """Finite union of pairwise-disjoint boxes."""
-
-    boxes: tuple
-
-    def __post_init__(self):
-        if not self.boxes:
-            raise ParameterError("strip union needs at least one box")
-
-    @property
-    def bbox(self):
-        x0, x1, y0, y1 = zip(*(b.bbox for b in self.boxes))
-        return (min(x0), max(x1), min(y0), max(y1))
-
-    def contains(self, z):
-        return np.any([b.contains(z) for b in self.boxes], axis=0)
-
-    def mass(self, alpha):
-        return sum(b.mass(alpha) for b in self.boxes)
-
-
-# Region = Box | Disk | StripUnion | None (whole half-plane); a Carleson
+# Region = Box | Disk | None (whole half-plane); a Carleson
 # square is a Box with y_min = 0.  Each answers contains(z), bbox and
 # mass(alpha); `_integrate_region`, `row_cells` and `disk_meet` are the
 # places that branch on the kind.
@@ -214,7 +192,7 @@ def integrate(f, alpha, region=None, tol=1e-8):
         Accepts a complex ndarray, returns values of the same shape.
     alpha : float
         Weight exponent, alpha > -1.
-    region : Box | Disk | StripUnion | None
+    region : Box | Disk | None
         None integrates over the whole half-plane with automatic truncation
         driven by the integrand's decay (doubling shells).
     tol : float
@@ -279,15 +257,13 @@ def _integrate_region(field, region, tol):
     """Integral over a region of a field on its `_chart_field` chart.
 
     A disk integrates its polar chart times R; boxes on the boundary grade
-    toward y = 0; a strip union sums the same field over its boxes.
+    toward y = 0.
     """
     if region is None:
         value, _, _ = integrate_halfplane(field, tol=tol)
     elif isinstance(region, Disk):
         value, _, _ = integrate_box(MappedField(field, _polar_area),
                                     _disk_chart(region), tol=tol)
-    elif isinstance(region, StripUnion):
-        value = sum(_integrate_region(field, box, tol) for box in region.boxes)
     elif isinstance(region, Box) and region.y_min == 0:
         value, _, _ = integrate_box_graded(
             field, region.x_min, region.x_max, region.y_max, tol=tol)
@@ -330,14 +306,12 @@ def _band(y0, y1, tau):
 
 
 def disk_meet(disk, region, tau, tol=1e-10):
-    """V_tau(disk ∩ region): `disk_measure` on the whole plane, a sum over a
-    StripUnion's boxes, and for a Box or a Disk one `integrate_1d` over the
-    chords y = c_y + r sin t of the disk, of y^tau times the chord's overlap
-    with the region times dy/dt = r cos t, the chord's half-length."""
+    """V_tau(disk ∩ region): `disk_measure` on the whole plane, and for a
+    Box or a Disk one `integrate_1d` over the chords y = c_y + r sin t of the
+    disk, of y^tau times the chord's overlap with the region times
+    dy/dt = r cos t, the chord's half-length."""
     if region is None:
         return disk_measure(disk, tau)
-    if isinstance(region, StripUnion):
-        return sum(disk_meet(disk, box, tau, tol) for box in region.boxes)
     c, r = disk.center, disk.radius
     s0, s1 = (min(max((v - c.y) / r, -1.0), 1.0) for v in region.bbox[2:])
     if not s1 > s0:
@@ -359,10 +333,10 @@ def disk_meet(disk, region, tau, tol=1e-10):
 def row_cells(region, tau, b, k, lo, hi, tol=1e-10):
     """V_tau(region ∩ Q) over the cells Q = [b + m h, b + (m+1) h) x [h/2, h),
     h = 2^-k, m in [lo, hi), as (counts, masses): groups of cells that share
-    a mass, leaving out the cells the region misses.  A box puts its x-overlap
-    times `_band` in a cell, so the whole cells between two consecutive box
-    edges share a mass, and a row costs O(edges).  A Disk goes through
-    `disk_meet` for each cell it meets."""
+    a mass, leaving out the cells the region misses.  A box (the whole plane
+    is one) puts its x-overlap times `_band` in a cell, so the whole cells
+    between its two edges share a mass, and a row is at most three groups.
+    A Disk goes through `disk_meet` for each cell it meets."""
     h = 2.0 ** -k
     x0, x1, y0, y1 = ((-math.inf, math.inf, 0.0, math.inf) if region is None
                       else region.bbox)
@@ -376,22 +350,17 @@ def row_cells(region, tau, b, k, lo, hi, tol=1e-10):
                            min(hi, math.floor((x1 - b) / h) + 1))])
         masses = masses[masses > 0]
         return np.ones(len(masses)), masses
-    boxes = ([box.bbox for box in region.boxes]
-             if isinstance(region, StripUnion) else [(x0, x1, y0, y1)])
-    parts = [(x0 - b, x1 - b, _band(max(y0, h / 2), min(y1, h), tau))
-             for x0, x1, y0, y1 in boxes]
-    parts = [p for p in parts if p[2] > 0 and p[0] < hi * h and p[1] > lo * h]
-    marks = sorted({lo, hi} | {m + d for u0, u1, _ in parts for u in (u0, u1)
-                               if math.isfinite(u)
+    u0, u1, w = x0 - b, x1 - b, _band(max(y0, h / 2), min(y1, h), tau)
+    marks = sorted({lo, hi} | {m + d for u in (u0, u1) if math.isfinite(u)
                                and lo <= (m := math.floor(u / h)) < hi
                                for d in (0, 1)})
     counts, masses = [], []
     for m0, m1 in zip(marks, marks[1:]):
-        mass = sum(w * (min(u1, m1 * h) - max(u0, m0 * h))
-                   for u0, u1, w in parts if u0 < m1 * h and u1 > m0 * h)
-        if mass > 0:
-            counts.append(float(m1 - m0))
-            masses.append(mass / (m1 - m0))
+        if u0 < m1 * h and u1 > m0 * h:
+            mass = w * (min(u1, m1 * h) - max(u0, m0 * h))
+            if mass > 0:
+                counts.append(float(m1 - m0))
+                masses.append(mass / (m1 - m0))
     return np.array(counts), np.array(masses)
 
 

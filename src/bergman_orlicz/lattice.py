@@ -379,7 +379,7 @@ def covering_report(lat, region=None, n_samples=10000, seed=0):
     Parameters
     ----------
     lat : DeltaLattice
-    region : Box, Disk, StripUnion, or "auto"
+    region : Box, Disk, or "auto"
         Sampling region (a Carleson square is a Box); "auto"/None takes
         the tiled zone's bounding box.
     n_samples : int
@@ -389,6 +389,8 @@ def covering_report(lat, region=None, n_samples=10000, seed=0):
     -------
     CoverageReport
     """
+    if n_samples < 1:
+        raise ParameterError(f"n_samples must be at least 1, got {n_samples}")
     _, _, xs, ys = lat.index_arrays()
 
     small = lat.s_delta * ys

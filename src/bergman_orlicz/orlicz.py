@@ -509,7 +509,13 @@ def seq_luxembourg(seq, phi, alpha):
     """
     if not seq.entries:
         return LuxResult(0.0, 0.0, 0, (0.0, 0.0))
-    mags, weights = _seq_arrays(seq, alpha)
+    return _discrete_luxembourg(*_seq_arrays(seq, alpha), phi)
+
+
+def _discrete_luxembourg(mags, weights, phi):
+    """Luxembourg norm of the magnitudes `mags` against the point masses
+    `weights`, solved from the largest magnitude: a lattice sequence's
+    norm, and the value of `carleson.berezin_membership`."""
     return _solve(
         lambda psi, lam: _discrete_modular(mags, weights, psi, lam), phi,
         lambda: max(float(np.max(mags)), 1e-30))

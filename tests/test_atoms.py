@@ -287,6 +287,14 @@ def test_equivalence_rejects_no_trials(trials):
         atoms.equivalence_experiment(T2, 0.0, 0.1, trials, seed=0)
 
 
+@pytest.mark.parametrize("support_size", [0, -2])
+def test_equivalence_rejects_empty_supports(support_size):
+    # rng.integers(1, support_size + 1) would fail with "low >= high"
+    with pytest.raises(ParameterError, match="support_size"):
+        atoms.equivalence_experiment(T2, 0.0, 0.1, 1, seed=0,
+                                     support_size=support_size)
+
+
 # ------------------------------------------------------ khintchine_check
 
 def test_sampler_orthonormal_on_shifted_grid():
@@ -316,6 +324,17 @@ def test_khintchine_square_two_entries_exact():
 
 def test_khintchine_empty():
     assert atoms.khintchine_check({}, T2) == (0.0, 0.0, 0.0)
+
+
+@pytest.mark.parametrize("x", [{(-1, 1): 1.0, (-2, 1): 1.0},
+                               {(0, 1): 1.0, (0, 2): 1.0},
+                               {(1, 0): 1.0}])
+def test_khintchine_rejects_constant_signs(x):
+    # the sign function of an index k <= 0 is the constant 1
+    s = atoms.RademacherSampler()
+    assert np.all(s.signs(0, s.grid()) == 1.0)
+    with pytest.raises(ParameterError, match="at least 1"):
+        atoms.khintchine_check(x, T2)
 
 
 def test_khintchine_quartic_sandwich_across_seeds():

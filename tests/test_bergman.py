@@ -136,25 +136,6 @@ def test_atom_sum_self_values():
         assert abs(F(z) - 1.25) < 1e-12
 
 
-def test_pointwise_bound_stable():
-    rng = np.random.default_rng(7)
-    F = B.decay(1, 4)
-    zs = [HPoint(rng.uniform(-2, 2), rng.uniform(0.1, 10)) for _ in range(20)]
-    c1 = B.pointwise_bound_check(F, G.power(2), 0.0, zs)
-    assert np.isfinite(c1) and c1 > 0
-    # refining the evaluation set cannot move the empirical constant much
-    zs2 = zs + [HPoint(0.5 * (a.x + b.x), 0.5 * (a.y + b.y))
-                for a, b in zip(zs[:-1], zs[1:])]
-    c2 = B.pointwise_bound_check(F, G.power(2), 0.0, zs2)
-    assert c2 >= c1 - 1e-12
-    assert c2 <= c1 * 1.05
-
-
-def test_pointwise_bound_zero_fn():
-    z0 = B.custom_fn(lambda z: np.zeros_like(z, dtype=complex))
-    assert B.pointwise_bound_check(z0, G.power(2), 0.0, [HPoint(0, 1)]) == 0.0
-
-
 def test_mean_value_inequality():
     # values of Phi(|F|) near z are controlled by the disk average
     phi = G.power(2)

@@ -19,7 +19,7 @@ from bergman_orlicz import orlicz as O
 from bergman_orlicz import quadrature as Q
 from bergman_orlicz.errors import ParameterError
 from bergman_orlicz.halfplane import (Box, CarlesonSquare, Disk, HPoint,
-                                      StripUnion, integrate)
+                                      integrate)
 from bergman_orlicz.orlicz import (
     LatticeSequence,
     atomic_measure,
@@ -128,9 +128,10 @@ def test_average_of_dilation_pullback():
         assert abs(val - 0.25) < 1e-6
 
 
+# the square, and the strip of it above y = 1/4: the disks below meet
+# neither bottom edge
 @pytest.mark.parametrize("support", [
-    CarlesonSquare(0.5, 1.0),
-    StripUnion((Box(0.0, 1.0, 0.0, 1.0), Box(2.0, 3.0, 0.5, 1.0)))])
+    CarlesonSquare(0.5, 1.0), Box(0.0, 1.0, 0.25, 1.0)])
 def test_average_over_square_and_strip_supports(support):
     mu = valpha_measure(0.0, support)
     assert abs(C.average(mu, HPoint(0.5, 0.5), 0.3) - 1.0) < 1e-8
@@ -261,8 +262,10 @@ def test_berezin_fn_box_with_weight_matches_mpmath():
 
 
 def test_berezin_fn_box_blocks_are_bit_stable():
-    # the points go through the closed form in fixed blocks, so a batch of
-    # eight 320-point panels gives the bits of the panels one at a time
+    # a box density has no closed transform, so `berezin_fn` integrates
+    # each point on its own (`berezin` at tol): a batch of eight 320-point
+    # panels gives the bits of the panels one at a time.  The 2,560
+    # integrals make this the slowest tier-1 test
     fn = C.berezin_fn(valpha_measure(-0.5, Box(0.0, 1.0, 0.0, 1.0)))
     rng = np.random.default_rng(11)
     z = rng.uniform(-3, 4, 2560) + 1j * rng.uniform(1e-3, 4, 2560)

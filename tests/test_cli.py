@@ -367,6 +367,45 @@ def test_atoms_experiment_zero_trials_exits_2(capsys):
     assert _error_doc(out)["kind"] == "ParameterError"
 
 
+@pytest.mark.parametrize("argv", [
+    ["atoms-experiment", "--phi", PHI_T2, "--delta", "0.5",
+     "--support-size", "0"],
+    ["lattice", "--delta", "0.5", "--lmax", "2", "--jmax", "1",
+     "--report", "auto", "--samples", "-3"],
+    ["lattice", "--delta", "0.5", "--lmax", "2", "--jmax", "1",
+     "--report", "auto", "--samples", "0"],
+], ids=["support-size-0", "samples-negative", "samples-0"])
+def test_counts_below_one_exit_2(capsys, argv):
+    code, out = _run(capsys, argv)
+    assert code == EXIT_VALIDATION
+    err = _error_doc(out)
+    assert err["kind"] == "ParameterError"
+    assert "at least 1" in err["detail"]
+
+
+_FAMILY_CMDS = {
+    "embed-check": ["embed-check", "--phi1", PHI_T2, "--phi2", PHI_T2,
+                    "--measure", '{"atomic":[[0.0,1.0,1.0]]}'],
+    "comp-check": ["comp-check", "--mobius", "1,0,0,1", "--phi1", PHI_T2,
+                   "--phi2", PHI_T2],
+}
+
+
+@pytest.mark.parametrize("family", [
+    '{"kernel":3}', '{"kernels":-1}', '{"kernels":2.5}', '[1,2]',
+    '{"kernels":1,"atoms":1,"window":[1]}',
+    '{"kernels":1,"atoms":0,"window":[1,0.5]}',
+    '{"kernels":true}', '{"atoms":1,"support_size":1}', '{"im_lo":0}',
+    '{"delta":"x"}',
+], ids=["unknown-key", "negative", "non-integral", "list", "window-short",
+        "window-non-integral", "bool", "support-1", "im-lo-0", "delta-str"])
+@pytest.mark.parametrize("cmd", sorted(_FAMILY_CMDS))
+def test_malformed_family_exits_2(capsys, cmd, family):
+    code, out = _run(capsys, _FAMILY_CMDS[cmd] + ["--family", family])
+    assert code == EXIT_VALIDATION
+    assert _error_doc(out)["kind"] == "ParameterError"
+
+
 def test_divergent_norm_exits_3(capsys):
     code, out = _run(capsys, [
         "luxnorm", "--phi", '{"family":"power","p":1}',

@@ -24,9 +24,6 @@ CONJ_POWERLOG = {
 # frozen: index ratio t phi'/phi of t^2 log(1+t) at the grid endpoints
 IDX_POWERLOG = (2.0542868096655678043, 2.9999999950000000417)
 
-# frozen: sup of phi(2t)/phi(t) over the default grid, attained at t=1e-8
-DOUBLING_POWERLOG = 7.9999999600000006
-
 
 def test_power_call_and_deriv():
     phi = G.power(2.5, coef=3.0)
@@ -157,13 +154,12 @@ def test_composed_inverse_general():
         assert abs(g(t) - ref) / ref < 1e-9
 
 
+# the regularity of a growth function that `atoms.equivalence_experiment`
+# reads: the lower dilation index and the Dini (nabla_2) constant
 def test_report_cubic():
-    rep = G.regularity_report(G.power(3))
-    assert rep.delta2 == (True, 8.0)
-    ok, c = rep.nabla2
+    ok, c = G._fit_dini_constant(G.power(3))
     assert ok and abs(c - 0.5) < 1e-6
-    assert rep.convex_ok
-    lo, hi = rep.indices
+    lo, hi = G.indices(G.power(3))
     assert abs(lo - 3.0) < 1e-9 and abs(hi - 3.0) < 1e-9
 
 
@@ -171,34 +167,21 @@ def test_report_cubic():
 def test_report_dini_constant_near_linear(p):
     # sup_t (t / t^p) int_0^t s^(p-2) ds = 1/(p-1); the strips halving
     # toward 0 hold a geometric sequence, so three of them give its sum
-    ok, c = G.regularity_report(G.power(p)).nabla2
+    ok, c = G._fit_dini_constant(G.power(p))
     assert ok and abs(c * (p - 1) - 1) < 1e-7
 
 
 def test_report_linear():
-    rep = G.regularity_report(G.power(1))
-    assert rep.delta2 == (True, 2.0)
-    assert rep.nabla2 == (False, np.inf)
-    assert rep.indices == (1.0, 1.0)
+    assert G._fit_dini_constant(G.power(1)) == (False, np.inf)
+    assert G.indices(G.power(1)) == (1.0, 1.0)
 
 
 def test_report_power_log():
-    rep = G.regularity_report(G.power_log(2, 1, 1))
-    ok, k = rep.delta2
-    assert ok and abs(k - DOUBLING_POWERLOG) < 1e-6
-    ok, _ = rep.nabla2
+    ok, _ = G._fit_dini_constant(G.power_log(2, 1, 1))
     assert ok
-    a, ca = rep.lower_type
-    b, cb = rep.upper_type
+    a, b = G.indices(G.power_log(2, 1, 1))
     assert abs(a - IDX_POWERLOG[0]) < 1e-5
     assert abs(b - IDX_POWERLOG[1]) < 1e-5
-    assert ca < 1.5 and cb < 1.5
-
-
-def test_report_exponential_not_doubling():
-    e = G.custom(lambda t: np.expm1(t), lambda t: np.exp(t), "expm1")
-    rep = G.regularity_report(e)
-    assert rep.delta2 == (False, np.inf)
 
 
 def test_embedding_condition_powers():

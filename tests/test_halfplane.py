@@ -123,12 +123,6 @@ def test_integrate_disk_region():
     assert abs(v - np.pi * 0.25) < 1e-8
 
 
-def test_integrate_strip_union():
-    u = H.StripUnion((H.Box(0.0, 1.0, 0.0, 1.0), H.Box(2.0, 3.0, 0.0, 1.0)))
-    v = H.integrate(lambda z: np.ones_like(z, dtype=float), 0.0, u, tol=1e-10)
-    assert abs(v - 2.0) < 1e-8
-
-
 def test_integrate_mass_far_from_origin():
     # the base box and the first shells hold no mass at all
     f = lambda z: np.exp(-np.abs(z - (40 + 20j)) ** 2)
@@ -158,7 +152,6 @@ def test_carleson_square_is_a_boundary_box():
         H.CarlesonSquare(0.0, 0.0)
 
 
-_STRIPS = H.StripUnion((H.Box(0.0, 1.0, 0.0, 1.0), H.Box(2.0, 3.0, 0.5, 1.0)))
 _REGIONS = {
     "box": (H.Box(-0.5, 1.0, 0.25, 2.0),
             lambda x, y: (-0.5 <= x) & (x <= 1.0) & (0.25 <= y) & (y <= 2.0)),
@@ -168,9 +161,6 @@ _REGIONS = {
                  lambda x, y: (0.0 <= x) & (x <= 1.0) & (y <= 1.0)),
     "disk": (H.Disk(H.HPoint(0.3, 1.0), 0.5),
              lambda x, y: (x - 0.3) ** 2 + (y - 1.0) ** 2 < 0.25),
-    "strips": (_STRIPS,
-               lambda x, y: ((0.0 <= x) & (x <= 1.0) & (y <= 1.0))
-               | ((2.0 <= x) & (x <= 3.0) & (0.5 <= y) & (y <= 1.0))),
 }
 
 

@@ -18,7 +18,7 @@ from bergman_orlicz import quadrature as Q
 from bergman_orlicz.errors import (AccuracyError, BergmanOrliczError,
                                    DivergenceError, NotInSpaceError,
                                    ParameterError)
-from bergman_orlicz.halfplane import Box, CarlesonSquare, Disk, HPoint, StripUnion
+from bergman_orlicz.halfplane import Box, CarlesonSquare, Disk, HPoint
 import quad_oracles as QO
 
 DIRAC_POWERLOG_LUX = 1.7470451544286443954
@@ -378,23 +378,6 @@ def test_lux_disk_seed_reads_only_the_disk():
     assert abs(r.modular_at_value - 1.0) < 1e-7
 
 
-def test_strip_union_support_sums_its_boxes():
-    boxes = (Box(0.0, 1.0, 0.0, 1.0), Box(2.0, 3.0, 0.5, 1.0))
-    union = StripUnion(boxes)
-    mu = O.valpha_measure(0.5, union)
-    phi = G.power_log(2, 1, 2)
-    per_box = [O.modular(DECAY3, O.valpha_measure(0.5, b), phi) for b in boxes]
-    assert O.modular(DECAY3, mu, phi) == per_box[0] + per_box[1]
-    r = O.luxembourg(DECAY3, mu, phi)
-    assert r.iterations > 0 and abs(r.modular_at_value - 1.0) < 1e-8
-    assert abs(O.modular(lambda z: DECAY3(z) / r.value, mu, phi) - 1.0) < 1e-7
-    sq = sum(O.modular(DECAY3, O.valpha_measure(0.5, b), G.power(2))
-             for b in boxes)
-    p2 = O.luxembourg(DECAY3, mu, G.power(2)).value
-    assert abs(p2 - np.sqrt(sq)) < 1e-12 * np.sqrt(sq)
-    assert mu == O.valpha_measure(0.5, union) and mu.support is union
-
-
 def test_lux_boundary_box_negative_alpha():
     # y^-0.5 near y = 0 lifts clipped Phi values at the vanishing probe
     mu = O.valpha_measure(-0.5, Box(-1.0, 1.0, 0.0, 1.0))
@@ -669,11 +652,9 @@ def test_lookahead_past_the_chain_does_not_raise():
     (None, None, 0.0),
     (Box(0.0, 1.0, 0.0, 1.0), None, -0.5),
     (Disk(HPoint(0.2, 1.0), 0.5), None, 0.5),
-    (StripUnion((Box(0.0, 1.0, 0.0, 1.0), Box(2.0, 3.0, 0.5, 1.0))), None,
-     0.5),
     (Box(-1.0, 1.0, 0.5, 1.5), lambda z: np.exp(-1000 * np.real(z) ** 2),
      0.0),
-], ids=["plane", "graded", "disk", "strips", "zero-weight"])
+], ids=["plane", "graded", "disk", "zero-weight"])
 def test_batched_pass_equals_panel_by_panel(support, weight, alpha):
     # a pass that reads stored panels gives the bits of a fresh engine,
     # whose one pass evaluates every panel on its own

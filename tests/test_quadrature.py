@@ -445,16 +445,16 @@ def test_bits_disk_polar_chart():
 
 def test_one_shot_integrals_keep_their_bits():
     # `integrate_1d` of a plain callable runs on an uncached field; the Dini
-    # integrals of a regularity report and a disk's V_alpha mass keep the
+    # integrals of a Dini-constant fit and a disk's V_alpha mass keep the
     # bits they had on the caching field.  For t^2 log(2 + t) the Dini
-    # integral is closed, (2 + t) log(2 + t) - t - 2 log 2, and the report's
-    # constant is its largest ratio on the report's t grid
-    rep = G.regularity_report(G.power_log(2, 1, 2))
+    # integral is closed, (2 + t) log(2 + t) - t - 2 log 2, and the fitted
+    # constant is its largest ratio on the fit's t grid
+    ok, constant = G._fit_dini_constant(G.power_log(2, 1, 2))
     ts = np.logspace(-6, 6, 25)
     exact = np.max(((2 + ts) * np.log(2 + ts) - ts - 2 * np.log(2))
                    / (ts * np.log(2 + ts)))
-    assert rep.nabla2[0] and abs(rep.nabla2[1] - exact) <= 1e-9 * exact
-    assert rep.nabla2[1].hex() == "0x1.fffff3e5cabf5p-1"
+    assert ok and abs(constant - exact) <= 1e-9 * exact
+    assert constant.hex() == "0x1.fffff3e5cabf5p-1"
     disk = H.Disk(H.HPoint(0.3, 1.0), 0.6)
     assert [H.disk_measure(disk, a).hex() for a in (0.5, -0.5, 2.5)] == [
         "0x1.1e1012765600cp+0", "0x1.2ce409aab1db1p+0", "0x1.5232cd62abf7dp+0"]
