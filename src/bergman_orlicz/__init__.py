@@ -23,7 +23,6 @@ from . import (  # noqa: F401
 from .errors import (  # noqa: F401
     AccuracyError,
     BergmanOrliczError,
-    ConditioningError,
     DivergenceError,
     DomainError,
     NotInSpaceError,
@@ -49,8 +48,7 @@ __all__ = [
     "halfplane", "lattice", "orlicz",
     # errors
     "BergmanOrliczError", "ParameterError", "DomainError", "DivergenceError",
-    "AccuracyError", "OverflowBracketError", "ConditioningError",
-    "NotInSpaceError",
+    "AccuracyError", "OverflowBracketError", "NotInSpaceError",
     # geometry
     "HPoint", "Disk", "CarlesonSquare", "Box",
     # measures and norms

@@ -25,7 +25,7 @@ from . import atoms, bergman, carleson, growth, halfplane, lattice
 from .errors import ParameterError
 from .halfplane import Box, Disk, HPoint
 from .orlicz import (atomic_measure, density_measure, luxembourg,
-                     mobius_density, modular, valpha_measure)
+                     mobius_density, mobius_measure, modular, valpha_measure)
 
 __all__ = ["CriterionResult", "run", "SUITE_NAMES"]
 
@@ -390,7 +390,7 @@ def _crit_composition():
                                  ("2z", (2.0, 0.0, 0.0, 1.0), 0.0),
                                  ("z+1", (1.0, 1.0, 0.0, 1.0), 0.0),
                                  ("z+1", (1.0, 1.0, 0.0, 1.0), 0.5)):
-        mu = carleson.pullback_mobius(*coeffs, beta_w)
+        mu = mobius_measure(*coeffs, beta_w)
         rhs = modular(F, mu, phi2, tol=1e-8)
         lhs = lhs_plane(*coeffs, beta_w)
         rel = abs(lhs - rhs) / rhs
@@ -411,7 +411,7 @@ def _crit_composition():
 
     lhs = halfplane.integrate_disk(
         lambda z: np.abs(comp(z)) ** 2, 0.0, dz, tol=1e-9)
-    dens = mobius_density(carleson.pullback_mobius(1.0, -1.0, 1.0, 1.0, 0.0))
+    dens = mobius_density(mobius_measure(1.0, -1.0, 1.0, 1.0, 0.0))
     rhs = halfplane.integrate_disk(
         lambda w: np.abs(F(np.asarray(w, complex))) ** 2
         * dens(np.asarray(w, complex)), 0.0, dw, tol=1e-9)

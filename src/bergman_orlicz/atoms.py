@@ -5,11 +5,11 @@ sequence mu to the kernel atom sum F_mu.  Sampling evaluates a function
 back on the lattice.  Both directions use the lattice's (j, l) order and
 row weights, and they are norm-comparable, which
 `equivalence_experiment` measures empirically.  `decompose_l2` inverts
-synthesis at desk scale in the Hilbert case by regularized least squares
-on the atom Gram matrix, whose entries have a closed form through the
-reproducing identity.  The Khintchine estimator sandwiches the mixed
-modular of a random-sign double series between multiples of the
-coefficient l2 norm.
+synthesis at desk scale in the Hilbert case by minimum-norm least
+squares on the atom Gram matrix, whose entries have a closed form
+through the reproducing identity.  The Khintchine estimator sandwiches
+the mixed modular of a random-sign double series between multiples of
+the coefficient l2 norm.
 """
 
 from dataclasses import dataclass
@@ -17,13 +17,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bergman, growth, lattice
-from .errors import (AccuracyError, BergmanOrliczError, ConditioningError,
-                     ParameterError)
+from .errors import AccuracyError, BergmanOrliczError, ParameterError
 from .orlicz import (LatticeSequence, _random_sequence, modular,
                      seq_luxembourg, valpha_measure)
 
-RIDGE_DEFAULT = 1e-10
-GRAM_COND_LIMIT = 1e12
 KHINTCHINE_GRID = 256
 KHINTCHINE_SHIFT = 0.37
 KHINTCHINE_CALIBRATION_SEED = 12345
@@ -59,59 +56,69 @@ RESIDUAL_TOL = 1e-4
 
 
 def _residual_sq(F, recon, alpha):
-    """Squared weighted-L2 norm of F minus its reconstruction.
+    """Squared weighted-L2 norm of F minus its reconstruction, as
+    (q, scale): the norm is sqrt(q) * scale.
 
     When F itself is a kernel combination the norm of the difference is
     exact bilinear algebra in kernel values, immune to the cancellation
-    that defeats quadrature on near-perfect recoveries.  Otherwise the
-    difference is integrated directly at magnitude accuracy.
+    that defeats quadrature on near-perfect recoveries: coefficients at a
+    shared centre are subtracted before the quadratic form, and divided
+    by their largest modulus, so the form does not overflow.  Otherwise
+    the difference is integrated directly at magnitude accuracy, with
+    scale 1.
     """
     expo = alpha + 2.0
     if getattr(F, "kind", None) == "atom_sum" and \
             float(F.params["expo"]) == expo:
-        cen = np.concatenate([np.asarray(F.params["centers"]),
-                              np.asarray(recon.params["centers"])])
-        v = np.concatenate([np.asarray(F.params["coeffs"]),
-                            -np.asarray(recon.params["coeffs"])])
-        return bergman.atom_norm_sq(cen, v, alpha)
+        cen, at = np.unique(np.concatenate([F.params["centers"],
+                                            recon.params["centers"]]),
+                            return_inverse=True)
+        v = np.zeros(cen.size, dtype=complex)
+        np.add.at(v, at, np.concatenate([F.params["coeffs"],
+                                         -recon.params["coeffs"]]))
+        scale = float(np.max(np.abs(v), initial=0.0))
+        if not 0.0 < scale < np.inf:  # zero, or not finite
+            return scale, 1.0
+        return bergman.atom_norm_sq(cen, v / scale, alpha), scale
     diff = lambda z: np.abs(np.asarray(F(z), dtype=complex) - recon(z))
     return modular(diff, valpha_measure(alpha), growth.power(2),
-                   tol=RESIDUAL_TOL)
+                   tol=RESIDUAL_TOL), 1.0
 
 
-def decompose_l2(F, lat, alpha=0.0, ridge=RIDGE_DEFAULT):
+def decompose_l2(F, lat, alpha=0.0):
     """Least-squares atomic coefficients of F on a lattice window.
 
-    Solves the regularized normal equations for the atom expansion in
-    the Hilbert space of the weight.  Right-hand sides use the
-    reproducing identity, so F should belong to the space numerically.
-    The residual is the weighted L2 norm of F minus the reconstruction.
+    Solves the normal equations for the atom expansion in the Hilbert
+    space of the weight by minimum-norm least squares: singular values
+    of the Gram below eps * size times its largest count as zero, so
+    nearly dependent atoms need no regularization.  Right-hand sides use
+    the reproducing identity, so F should belong to the space
+    numerically.  The residual is the weighted L2 norm of F minus the
+    reconstruction; AccuracyError when it or F's samples are not finite.
 
     Returns
     -------
     (LatticeSequence, float)
     """
-    if ridge < 0:
-        raise ParameterError(f"ridge must be >= 0, got {ridge}")
     keys, centers, w, g = _gram(lat, alpha)
     c_a = bergman.ATOM_COEF_BASE ** (alpha + 2.0)
     fvals = np.asarray(F(centers), dtype=complex)
-    b = c_a * w * fvals / bergman.reproducing_constant(alpha)
-
-    if ridge == 0.0:
-        cond = np.linalg.cond(g)
-        if cond > GRAM_COND_LIMIT:
-            raise ConditioningError(
-                f"atom Gram condition number {cond:.3e}; "
-                f"pass ridge > 0 (default {RIDGE_DEFAULT})")
-        coef = np.linalg.solve(g, b)
-    else:
-        coef = np.linalg.solve(g + ridge * np.eye(len(b)), b)
+    with np.errstate(over="ignore", invalid="ignore"):
+        b = c_a * w * fvals / bergman.reproducing_constant(alpha)
+    if not np.isfinite(b).all():
+        raise AccuracyError(
+            "atomic decomposition: F's samples or the Gram right-hand "
+            "side are not finite")
+    coef = np.linalg.lstsq(g, b, rcond=None)[0]
 
     mu = LatticeSequence(dict(zip(keys, coef)), lat)
     recon = bergman.atom_sum(mu, alpha)
-    res_sq = _residual_sq(F, recon, alpha)
-    return mu, float(np.sqrt(max(res_sq, 0.0)))
+    res_sq, scale = _residual_sq(F, recon, alpha)
+    residual = float(np.sqrt(max(res_sq, 0.0)) * scale)
+    if not np.isfinite(residual):
+        raise AccuracyError(
+            "atomic decomposition: the residual is not finite")
+    return mu, residual
 
 
 def equivalence_experiment(phi, alpha, delta, trials, seed,

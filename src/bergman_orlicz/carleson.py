@@ -93,13 +93,13 @@ def berezin(mu, z, alpha=0.0, tol=1e-8):
         raise AccuracyError(f"transform integral diverges: {e}") from e
 
 
-def berezin_fn(mu, alpha=0.0, tol=1e-8):
+def berezin_fn(mu, alpha=0.0):
     """Vectorized z -> transform(mu)(z).
 
     Atomic measures evaluate as exact finite sums.  On the whole plane the
     transform is closed: for y**tau, and for the pullback of y**beta under
     a triangular map, whose density is (d/a)**(beta+2) * y**beta.
-    Anything else, a box density included, is `berezin` at `tol` per point:
+    Anything else, a box density included, is `berezin` at tol 1e-8 per point:
     honest but slow, and its typed errors come when a point is evaluated.
     """
     m = 2.0 + alpha
@@ -136,7 +136,7 @@ def berezin_fn(mu, alpha=0.0, tol=1e-8):
     def fn(z):
         zz = np.asarray(z, dtype=complex)
         flat = np.atleast_1d(zz).ravel()
-        out = np.array([berezin(mu, v, alpha, tol) for v in flat])
+        out = np.array([berezin(mu, v, alpha, 1e-8) for v in flat])
         return out.reshape(zz.shape) if zz.shape else float(out[0])
     return fn
 
@@ -381,10 +381,6 @@ def _verdict(mu, phi1, phi2, alpha, members, numers, tol):
 
 # ------------------------------------------------------------ composition
 
-# measure of a set = beta-weighted volume of its Mobius preimage
-pullback_mobius = mobius_measure
-
-
 def composition_check(a, b, c, d, beta_w, phi1, phi2, alpha=0.0,
                       family_spec=None, seed=0, tol=1e-4):
     """Boundedness evidence for F -> F o phi between weighted spaces.
@@ -399,7 +395,7 @@ def composition_check(a, b, c, d, beta_w, phi1, phi2, alpha=0.0,
     the panels the norm's passes did not; the store is released before the
     left-hand side, so one store is alive at a time.
     """
-    mu = pullback_mobius(a, b, c, d, beta_w)
+    mu = mobius_measure(a, b, c, d, beta_w)
     members = _build_family(family_spec, alpha, seed)
     solve_tol = min(tol, 1e-4)
 

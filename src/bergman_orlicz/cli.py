@@ -34,7 +34,6 @@ from . import orlicz
 from .errors import (
     AccuracyError,
     BergmanOrliczError,
-    ConditioningError,
     DivergenceError,
     DomainError,
     NotInSpaceError,
@@ -52,7 +51,7 @@ EXIT_ACCURACY = 3
 
 _VALIDATION_ERRORS = (ParameterError, DomainError)
 _ACCURACY_ERRORS = (AccuracyError, DivergenceError, OverflowBracketError,
-                    ConditioningError, NotInSpaceError)
+                    NotInSpaceError)
 
 
 # ------------------------------------------------------------ small helpers
@@ -222,11 +221,10 @@ def _cmd_sample(args):
 def _cmd_decompose(args):
     F = bergman.fn_from_json(_load_doc(args.fn))
     lat = _lattice_from_json(_load_doc(args.lattice))
-    seq, residual = atoms.decompose_l2(F, lat, alpha=args.alpha,
-                                       ridge=args.ridge)
+    seq, residual = atoms.decompose_l2(F, lat, alpha=args.alpha)
     rows = bergman.sequence_to_json(seq)["sequence"]
-    result = {"alpha": args.alpha, "ridge": args.ridge,
-              "residual": residual, "count": len(rows), "sequence": rows}
+    result = {"alpha": args.alpha, "residual": residual,
+              "count": len(rows), "sequence": rows}
     return result, (("l", "j", "re", "im"), rows)
 
 
@@ -364,7 +362,6 @@ def _build_parser():
     p.add_argument("--fn", required=True)
     p.add_argument("--lattice", required=True)
     p.add_argument("--alpha", type=float, default=0.0)
-    p.add_argument("--ridge", type=float, default=atoms.RIDGE_DEFAULT)
     p.set_defaults(handler=_cmd_decompose)
 
     p = sub.add_parser("berezin", parents=[common],

@@ -2,7 +2,8 @@
 checks of the JSON wire formats.
 
 Exit-code mapping used by the CLI: ParameterError/DomainError -> 2,
-AccuracyError/DivergenceError/NotInSpaceError -> 3, anything else -> 1.
+AccuracyError/DivergenceError/OverflowBracketError/NotInSpaceError -> 3,
+anything else -> 1.
 """
 
 
@@ -29,10 +30,6 @@ class AccuracyError(BergmanOrliczError):
 
 class OverflowBracketError(BergmanOrliczError):
     """A bracketing search exhausted its doubling budget."""
-
-
-class ConditioningError(BergmanOrliczError):
-    """A linear solve is too ill-conditioned to trust."""
 
 
 class NotInSpaceError(BergmanOrliczError):

@@ -196,9 +196,7 @@ class _Custom(GrowthFunction):
         return self.params["fn"](t)
 
     def _deriv(self, t):
-        fn, dfn = self.params["fn"], self.params.get("dfn")
-        if dfn is not None:
-            return dfn(t)
+        fn = self.params["fn"]
         h = 1e-6 * np.maximum(t, 1e-12)
         return (fn(t + h) - fn(np.maximum(t - h, 0.0))) / (2 * h)
 
@@ -221,12 +219,13 @@ def power_log(p, a, c):
                      {"p": float(p), "a": float(a), "c": float(c)})
 
 
-def custom(fn, deriv=None, label="custom"):
-    """Wrap a user callable (vectorized) as a growth function.
+def custom(fn, label="custom"):
+    """Wrap a user callable (vectorized) as a growth function; its
+    derivative is a central difference.
 
     Convexity is not enforced.
     """
-    return _Custom("custom", label, {"fn": fn, "dfn": deriv})
+    return _Custom("custom", label, {"fn": fn})
 
 
 def conjugate_of(phi):

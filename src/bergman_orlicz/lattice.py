@@ -177,28 +177,6 @@ def build(delta, window, gamma=None):
     return lat
 
 
-def cells(lat, l, j):
-    """Big and small cell of the point at (l, j).
-
-    Returns
-    -------
-    (I, I_inner, J, J_inner)
-        Four (lo, hi) interval tuples; the big cell is I x J, the small
-        one I_inner x J_inner.  |I| = |J| = (delta**2/2) * row height,
-        |I_inner| = (delta**2/10) * row height.
-    """
-    lat.check_index((l, j))
-    d2 = lat.delta * lat.delta
-    s = lat.heights[j + lat.window[1]]
-    q = d2 / 4.0 * s
-    i_big = ((-1 + l / 2.0) * q, (1 + l / 2.0) * q)
-    i_small = ((-0.2 + l / 2.0) * q, (0.2 + l / 2.0) * q)
-    j_big = ((1 - d2 / 4.0) * s, (1 + d2 / 4.0) * s)
-    fifth = d2 / 20.0
-    j_small = ((1 - fifth) ** 0.25 * s, (1 + fifth) ** 0.25 * s)
-    return i_big, i_small, j_big, j_small
-
-
 @dataclass(frozen=True)
 class CoverageReport:
     """Numerical check of disjointness, covering, and overlap bounds."""

@@ -15,10 +15,7 @@ ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "bergman_orlicz"
 
 # "module.name" -> why it stays with no caller in src/ or perfbench/
-ALLOWED = {
-    "lattice.cells": "tests/test_lattice.py::test_covered_mask_matches_cells "
-                     "uses it as the reference for the sampled zone",
-}
+ALLOWED = {}
 
 
 def _public_definitions():

@@ -122,7 +122,7 @@ def test_average_misses_far_mass():
 
 def test_average_of_dilation_pullback():
     # measure of E = V_0(E/2) = area(E)/4, so every disk average is 1/4
-    mu = C.pullback_mobius(2.0, 0.0, 0.0, 1.0, 0.0)
+    mu = O.mobius_measure(2.0, 0.0, 0.0, 1.0, 0.0)
     for z in (HPoint(0.0, 1.0), HPoint(-1.5, 0.4)):
         val = C.average(mu, z, 0.5)
         assert abs(val - 0.25) < 1e-6
@@ -187,7 +187,7 @@ def test_berezin_translation_pullback_matches_weight():
     # z -> z + 1 pulls V_beta back to itself; the quadrature route over the
     # pullback density must agree with the closed Beta-product transform.
     beta = 0.5
-    mu = C.pullback_mobius(1.0, 1.0, 0.0, 1.0, beta)
+    mu = O.mobius_measure(1.0, 1.0, 0.0, 1.0, beta)
     z = HPoint(0.2, 0.8)
     via_engine = C.berezin(mu, z, tol=1e-8)
     closed = C.berezin_fn(density_measure(None, alpha=beta))(complex(z.x, z.y))
@@ -280,7 +280,7 @@ def test_berezin_fn_boundary_box_needs_integrable_weight():
 
 
 def test_berezin_fn_dilation_pullback_constant():
-    mu = C.pullback_mobius(2.0, 0.0, 0.0, 1.0, 0.0)
+    mu = O.mobius_measure(2.0, 0.0, 0.0, 1.0, 0.0)
     fn = C.berezin_fn(mu)
     zs = np.array([1j, 0.5 + 2.0j])
     vals = np.asarray(fn(zs), dtype=float)
@@ -447,18 +447,18 @@ def test_embedding_verdict_json_round_trip():
 
 def test_pullback_requires_positive_determinant():
     with pytest.raises(ParameterError):
-        C.pullback_mobius(1.0, 0.0, 0.0, -1.0, 0.0)
+        O.mobius_measure(1.0, 0.0, 0.0, -1.0, 0.0)
 
 
 def test_pullback_requires_admissible_weight():
     with pytest.raises(ParameterError):
-        C.pullback_mobius(1.0, 2.0, 0.0, 2.0, -1.5)
+        O.mobius_measure(1.0, 2.0, 0.0, 2.0, -1.5)
 
 
 def test_pullback_translation_change_of_variables():
     # modular(F(.+1); V_beta) = modular(F; pullback of z+1) by substitution
     beta = 0.5
-    mu = C.pullback_mobius(1.0, 1.0, 0.0, 1.0, beta)
+    mu = O.mobius_measure(1.0, 1.0, 0.0, 1.0, beta)
     F = B.decay(1.0, 4)
     shifted = B.custom_fn(lambda z: F(np.asarray(z, dtype=complex) + 1.0))
     lhs = modular(shifted, valpha_measure(beta), T2, tol=1e-8)
@@ -480,7 +480,7 @@ def test_composition_identity_is_isometry():
 def test_composition_dilation_change_of_variables():
     # int |G(2z)|^2 dV_0 = (1/4) int |G|^2 dV_0, with the closed modular
     # of the decay function as an independent check on the pullback side.
-    mu = C.pullback_mobius(2.0, 0.0, 0.0, 1.0, 0.0)
+    mu = O.mobius_measure(2.0, 0.0, 0.0, 1.0, 0.0)
     Gfn = B.decay(1.0, 4)
     comp = B.custom_fn(lambda z: Gfn(2.0 * np.asarray(z, dtype=complex)))
     lhs = modular(comp, valpha_measure(0.0), T2, tol=1e-8)
@@ -538,7 +538,7 @@ def test_composition_legs_match_the_closed_form(coeffs, beta):
         return np.abs(F((a * z + b) / (c * z + d))) ** 2
 
     lhs = integrate(composed, beta, None, tol=1e-8)
-    rhs = modular(F, C.pullback_mobius(a, b, c, d, beta), T2, tol=1e-8)
+    rhs = modular(F, O.mobius_measure(a, b, c, d, beta), T2, tol=1e-8)
     assert abs(lhs - exact) <= 1e-10 * exact
     assert abs(rhs - exact) <= 1e-10 * exact
 
@@ -579,7 +579,7 @@ def test_composition_right_hand_side_evaluates_only_new_nodes(monkeypatch):
     monkeypatch.setattr(B.AnalyticFn, "__call__", recorded)
     monkeypatch.setattr(O._ModularEngine, "modular", right_hand_side)
     monkeypatch.setattr(C, "modular", left_hand_side)
-    mu = C.pullback_mobius(2.0, 0.0, 0.0, 1.0, 0.0)
+    mu = O.mobius_measure(2.0, 0.0, 0.0, 1.0, 0.0)
     v = C.composition_check(2.0, 0.0, 0.0, 1.0, 0.0, T2, T2,
                             family_spec=dict(PULLBACK_FAMILY), seed=0,
                             tol=1e-4)

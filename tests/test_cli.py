@@ -151,6 +151,7 @@ def test_decompose_reconstructs_atom_sum(capsys):
         '{"delta":0.5,"window":[2,1]}', "--no-meta"])
     assert code == EXIT_OK
     doc = json.loads(out)
+    assert sorted(doc) == ["alpha", "count", "residual", "sequence"]
     assert doc["residual"] < 1e-6
 
     rows = json.dumps(doc["sequence"])
@@ -164,6 +165,34 @@ def test_decompose_reconstructs_atom_sum(capsys):
         v0 = complex(*json.loads(out0)["value"])
         v1 = complex(*json.loads(out1)["value"])
         assert abs(v0 - v1) < 1e-5 * max(abs(v0), 1.0)
+
+
+def test_decompose_huge_atom_residual_is_finite(capsys):
+    # the unscaled atom Gram form overflowed to a "nan" residual, exit 0
+    code, out = _run(capsys, [
+        "decompose", "--fn",
+        '{"atoms":{"sequence":[[0,0,1e307,0]],"delta":0.5,"window":[1,0]}}',
+        "--lattice", '{"delta":0.5,"window":[1,0]}', "--no-meta"])
+    assert code == EXIT_OK
+    residual = json.loads(out)["residual"]
+    assert isinstance(residual, float) and residual <= 1e-6 * 1e307
+
+
+def test_decompose_overflowing_samples_exit_3(capsys):
+    code, out = _run(capsys, [
+        "decompose", "--fn", '{"const":1e308}',
+        "--lattice", '{"delta":0.5,"window":[1,0]}', "--no-meta"])
+    assert code == EXIT_ACCURACY
+    err = json.loads(out)["error"]
+    assert err["kind"] == "AccuracyError"
+    assert "decomposition" in err["detail"]
+
+
+def test_decompose_has_no_ridge_flag(capsys):
+    code = main(["decompose", "--fn", '{"const":1}', "--lattice",
+                 '{"delta":0.5,"window":[1,0]}', "--ridge", "1e-10"])
+    capsys.readouterr()
+    assert code == EXIT_VALIDATION
 
 
 def test_embed_check_point_mass_verdict(capsys):

@@ -102,7 +102,7 @@ def test_conjugate_sublinear_rejected():
 def test_conjugate_linear_general_rejected():
     # numeric route needs genuine superlinear growth; a custom linear
     # function misses the split fast path and must be refused
-    lin = G.custom(lambda t: 3.0 * t, lambda t: 3.0 * np.ones_like(t), "3t")
+    lin = G.custom(lambda t: 3.0 * t, label="3t")
     with pytest.raises((ParameterError, OverflowBracketError)):
         G.conjugate_of(lin)(1.0)
 

@@ -22,6 +22,29 @@ WINDOW_GAP_05 = {1: 0.0111081997441958395106540681471011113096,
                  10: -0.04907813599447952949101838416041651535605}
 
 
+def _cells(lat, l, j):
+    """Big and small cell of the point at (l, j): the reference for the
+    zone `covering_report` samples.
+
+    Returns
+    -------
+    (I, I_inner, J, J_inner)
+        Four (lo, hi) interval tuples; the big cell is I x J, the small
+        one I_inner x J_inner.  |I| = |J| = (delta**2/2) * row height,
+        |I_inner| = (delta**2/10) * row height.
+    """
+    lat.check_index((l, j))
+    d2 = lat.delta * lat.delta
+    s = lat.heights[j + lat.window[1]]
+    q = d2 / 4.0 * s
+    i_big = ((-1 + l / 2.0) * q, (1 + l / 2.0) * q)
+    i_small = ((-0.2 + l / 2.0) * q, (0.2 + l / 2.0) * q)
+    j_big = ((1 - d2 / 4.0) * s, (1 + d2 / 4.0) * s)
+    fifth = d2 / 20.0
+    j_small = ((1 - fifth) ** 0.25 * s, (1 + fifth) ** 0.25 * s)
+    return i_big, i_small, j_big, j_small
+
+
 def test_gamma_interval_frozen():
     lo, hi = L.gamma_interval(0.5)
     assert abs(lo - GAMMA_LO_05) < 1e-15
@@ -113,7 +136,7 @@ def test_point_formula():
 def test_cell_lengths():
     lat = L.build(0.5, (3, 3))
     for (l, j) in [(0, 0), (2, -1), (-3, 3)]:
-        big_i, small_i, big_j, small_j = L.cells(lat, l, j)
+        big_i, small_i, big_j, small_j = _cells(lat, l, j)
         s = 2.0 ** (lat.gamma * j)
         assert abs((big_i[1] - big_i[0]) - 0.125 * s) < 1e-15
         assert abs((big_j[1] - big_j[0]) - 0.125 * s) < 1e-15
@@ -123,7 +146,7 @@ def test_cell_lengths():
     # the same index check as lat.point: in the window and integers
     for l, j in [(4, 0), (0.5, 0), (0, 1.0)]:
         with pytest.raises(ParameterError):
-            L.cells(lat, l, j)
+            _cells(lat, l, j)
         with pytest.raises(ParameterError):
             lat.point(l, j)
 
@@ -131,11 +154,11 @@ def test_cell_lengths():
 def test_small_bands_nested_and_disjoint():
     lat = L.build(0.5, (1, 6))
     for j in range(-5, 6):
-        _, _, big_j, small_j = L.cells(lat, 0, j)
+        _, _, big_j, small_j = _cells(lat, 0, j)
         assert big_j[0] < small_j[0] and small_j[1] < big_j[1]
     for j in range(-5, 5):
-        _, _, _, sj = L.cells(lat, 0, j)
-        _, _, _, sj1 = L.cells(lat, 0, j + 1)
+        _, _, _, sj = _cells(lat, 0, j)
+        _, _, _, sj1 = _cells(lat, 0, j + 1)
         assert sj[1] < sj1[0]
 
 
@@ -145,7 +168,7 @@ def test_row_membership_count():
     for x in [0.0, 0.01, -0.3, 0.177]:
         count = 0
         for l in range(-40, 41):
-            big_i, _, _, _ = L.cells(lat, l, 0)
+            big_i, _, _, _ = _cells(lat, l, 0)
             count += big_i[0] < x < big_i[1]
         assert count <= 4
 
@@ -156,7 +179,7 @@ def test_vertical_membership_count_constant_across_decades():
     for y in [0.5, 1.0, 2.0, 4.0]:
         c = 0
         for j in range(-200, 201):
-            _, _, big_j, _ = L.cells(lat, 0, j)
+            _, _, big_j, _ = _cells(lat, 0, j)
             c += big_j[0] < y < big_j[1]
         counts.append(c)
     assert max(counts) - min(counts) <= 1
@@ -248,7 +271,7 @@ def test_covered_mask_matches_cells():
     for x, y, m in zip(xs, ys, mask):
         inside = False
         for (l, j) in lat.points:
-            big_i, _, big_j, _ = L.cells(lat, l, j)
+            big_i, _, big_j, _ = _cells(lat, l, j)
             if big_i[0] < x < big_i[1] and big_j[0] < y < big_j[1]:
                 inside = True
                 break

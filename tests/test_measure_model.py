@@ -56,7 +56,6 @@ def test_pullback_fields():
     mu = O.mobius_measure(2, 1, 1, 3, 0.3)
     assert mu.atoms == () and mu.support is None and mu.alpha_base == 0.0
     assert mu.mobius == (2.0, 1.0, 1.0, 3.0) and mu.beta == 0.3
-    assert C.pullback_mobius is O.mobius_measure
     parsed = O.measure_from_json(
         {"mobius": {"a": 2.0, "b": 1.0, "c": 1.0, "d": 3.0, "beta": 0.3}})
     assert replace(parsed, weight=None) == replace(mu, weight=None)

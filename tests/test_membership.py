@@ -119,7 +119,7 @@ def test_verdicts_away_from_the_flip(tau, box, member, stage_max, tol):
 
 def test_triangular_pullback_is_its_closed_row_sum():
     a, d, beta = 2.0, 1.0, 0.5
-    mu = C.pullback_mobius(a, 1.0, 0.0, d, beta)
+    mu = O.mobius_measure(a, 1.0, 0.0, d, beta)
     member, lux = C.berezin_membership(mu, T2, T1)
     assert not member
     # row k of B_K holds 2^(K+k+1) cells, each with V_0 = h^2 / 2 and mass
@@ -137,7 +137,7 @@ def test_triangular_pullback_is_its_closed_row_sum():
 
 @pytest.mark.parametrize("mu", [
     O.density_measure(lambda z: 1.0 + 0.0 * z.real, support=UNIT),
-    C.pullback_mobius(1.0, -1.0, 1.0, 1.0, 0.0),
+    O.mobius_measure(1.0, -1.0, 1.0, 1.0, 0.0),
 ], ids=["custom weight", "non-triangular"])
 def test_unsupported_measures_name_the_supported_kinds(mu):
     with pytest.raises(ParameterError, match="triangular pullback"):
